@@ -128,9 +128,9 @@ func BenchmarkStepTwoStateGnp100k(b *testing.B) {
 	}
 }
 
-// --- shared-engine benchmarks: frontier vs full-rescan, sequential vs
-// workers, scalar vs bit-sliced kernel (see BENCH_engine.json for recorded
-// results). The Frontier/Rescan/Workers rows pin the scalar interface path
+// --- shared-engine benchmarks: frontier vs full-rescan, scalar vs
+// bit-sliced kernel (see BENCH_engine.json for recorded results). The
+// Frontier/Rescan rows pin the scalar interface path
 // (WithScalarEngine) so their history stays comparable across PRs; the
 // Kernel rows measure the same workloads on the bit-sliced path the 2-state
 // process now selects by default. ---
@@ -184,27 +184,14 @@ func BenchmarkEngineFrontierGnp1M(b *testing.B) {
 	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7), ssmis.WithScalarEngine())
 }
 
-func BenchmarkEngineWorkersGnp1M(b *testing.B) {
-	benchEngine(b, ssmis.GnpAvgDegree(1000000, 10, 7), ssmis.WithScalarEngine(), ssmis.WithWorkers(8))
-}
-
 func BenchmarkEngineFrontierClique4k(b *testing.B) {
 	// Refresh-heavy: on a complete graph every changing round sets dirtyAll
 	// and the membership refresh rescans all n vertices.
 	benchEngine(b, ssmis.Complete(4096), ssmis.WithScalarEngine())
 }
 
-func BenchmarkEngineWorkersClique4k(b *testing.B) {
-	// Same workload through the partitioned two-phase refresh at workers=8.
-	benchEngine(b, ssmis.Complete(4096), ssmis.WithScalarEngine(), ssmis.WithWorkers(8))
-}
-
 func BenchmarkEngineFrontierChungLu1M(b *testing.B) {
 	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7), ssmis.WithScalarEngine())
-}
-
-func BenchmarkEngineWorkersChungLu1M(b *testing.B) {
-	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7), ssmis.WithScalarEngine(), ssmis.WithWorkers(8))
 }
 
 func BenchmarkEngineKernelGnp1M(b *testing.B) {
@@ -254,14 +241,6 @@ func BenchmarkCountersSplitChungLu1M(b *testing.B) {
 	// tail lives in byte lanes.
 	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
 		ssmis.WithDegreeOrder(), ssmis.WithCounterLayout(ssmis.CounterSplit))
-}
-
-func BenchmarkCountersSplitWorkersChungLu1M(b *testing.B) {
-	// The delta-buffered parallel commit: hub updates accumulate in
-	// per-worker dense delta arrays merged sequentially after the join (no
-	// atomics on the contended hub rows); tail updates CAS the byte lanes.
-	benchEngine(b, ssmis.ChungLu(1000000, 2.5, 10, 7),
-		ssmis.WithDegreeOrder(), ssmis.WithCounterLayout(ssmis.CounterSplit), ssmis.WithWorkers(8))
 }
 
 func mk3State(g *ssmis.Graph, opts ...ssmis.Option) ssmis.Process {

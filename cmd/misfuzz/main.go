@@ -134,10 +134,10 @@ func fuzzTwoState(g *graph.Graph, seed uint64) string {
 
 // fuzzKernel differentially fuzzes the engine's bit-sliced kernel against
 // the scalar interface path (the golden reference) for all three rules —
-// 2-state, 3-state, and 3-color: same graph, same seed, a random worker
-// count in {1, 8}, randomly frontier or full-rescan, compared
-// state-for-state (full states: black0 vs black1, colors AND switch
-// levels) every round with exact random-bit accounting at stabilization.
+// 2-state, 3-state, and 3-color: same graph, same seed, randomly frontier
+// or full-rescan, compared state-for-state (full states: black0 vs black1,
+// colors AND switch levels) every round with exact random-bit accounting at
+// stabilization.
 func fuzzKernel(g *graph.Graph, seed uint64) string {
 	r := xrand.New(seed ^ 0x9e3779b97f4a7c15)
 	variants := []struct {
@@ -175,9 +175,9 @@ func fuzzKernel(g *graph.Graph, seed uint64) string {
 		},
 	}
 	for _, v := range variants {
-		workers := []int{1, 8}[r.Intn(2)]
-		kernOpts := []mis.Option{mis.WithSeed(seed), mis.WithWorkers(workers)}
-		if r.Bit() {
+		rescan := r.Bit()
+		kernOpts := []mis.Option{mis.WithSeed(seed)}
+		if rescan {
 			kernOpts = append(kernOpts, mis.WithFullRescan())
 		}
 		kern := v.mk(kernOpts...)
@@ -188,20 +188,20 @@ func fuzzKernel(g *graph.Graph, seed uint64) string {
 			scal.Step()
 			for u := 0; u < g.N(); u++ {
 				if v.stateOf(kern, u) != v.stateOf(scal, u) {
-					return fmt.Sprintf("%s workers=%d round %d vertex %d: kernel=%#x scalar=%#x",
-						v.name, workers, rd+1, u, v.stateOf(kern, u), v.stateOf(scal, u))
+					return fmt.Sprintf("%s rescan=%v round %d vertex %d: kernel=%#x scalar=%#x",
+						v.name, rescan, rd+1, u, v.stateOf(kern, u), v.stateOf(scal, u))
 				}
 			}
 			if kern.Stabilized() != scal.Stabilized() {
-				return fmt.Sprintf("%s workers=%d round %d: stabilization flags disagree", v.name, workers, rd+1)
+				return fmt.Sprintf("%s rescan=%v round %d: stabilization flags disagree", v.name, rescan, rd+1)
 			}
 		}
 		if !scal.Stabilized() {
 			return fmt.Sprintf("%s: no stabilization within %d rounds", v.name, limit)
 		}
 		if kern.RandomBits() != scal.RandomBits() {
-			return fmt.Sprintf("%s workers=%d bit accounting: kernel=%d scalar=%d",
-				v.name, workers, kern.RandomBits(), scal.RandomBits())
+			return fmt.Sprintf("%s rescan=%v bit accounting: kernel=%d scalar=%d",
+				v.name, rescan, kern.RandomBits(), scal.RandomBits())
 		}
 		if err := verify.MIS(g, kern.Black); err != nil {
 			return v.name + " kernel stabilized to non-MIS: " + err.Error()
@@ -212,9 +212,9 @@ func fuzzKernel(g *graph.Graph, seed uint64) string {
 
 // fuzzRelabel differentially fuzzes the locality relabeling (forced via
 // WithDegreeOrder) against the identity ordering for all three rules: same
-// graph, same seed, a random worker count in {1, 8}, randomly frontier or
-// full-rescan, compared state-for-state in original vertex ids every round
-// with exact random-bit accounting at stabilization. Each case also ships a
+// graph, same seed, randomly frontier or full-rescan, compared
+// state-for-state in original vertex ids every round with exact random-bit
+// accounting at stabilization. Each case also ships a
 // mid-run checkpoint ACROSS the ordering boundary — saved under the
 // relabeling, resumed without it — and the resumed run must replay the
 // identity execution to stabilization.
@@ -254,9 +254,9 @@ func fuzzRelabel(g *graph.Graph, seed uint64) string {
 		},
 	}
 	for _, v := range variants {
-		workers := []int{1, 8}[r.Intn(2)]
-		relOpts := []mis.Option{mis.WithSeed(seed), mis.WithWorkers(workers), mis.WithDegreeOrder()}
-		if r.Bit() {
+		rescan := r.Bit()
+		relOpts := []mis.Option{mis.WithSeed(seed), mis.WithDegreeOrder()}
+		if rescan {
 			relOpts = append(relOpts, mis.WithFullRescan())
 		}
 		rel := v.mk(relOpts...)
@@ -267,20 +267,20 @@ func fuzzRelabel(g *graph.Graph, seed uint64) string {
 			ident.Step()
 			for u := 0; u < g.N(); u++ {
 				if v.stateOf(rel, u) != v.stateOf(ident, u) {
-					return fmt.Sprintf("%s workers=%d round %d vertex %d: relabeled=%#x identity=%#x",
-						v.name, workers, rd+1, u, v.stateOf(rel, u), v.stateOf(ident, u))
+					return fmt.Sprintf("%s rescan=%v round %d vertex %d: relabeled=%#x identity=%#x",
+						v.name, rescan, rd+1, u, v.stateOf(rel, u), v.stateOf(ident, u))
 				}
 			}
 			if rel.Stabilized() != ident.Stabilized() {
-				return fmt.Sprintf("%s workers=%d round %d: stabilization flags disagree", v.name, workers, rd+1)
+				return fmt.Sprintf("%s rescan=%v round %d: stabilization flags disagree", v.name, rescan, rd+1)
 			}
 		}
 		if !ident.Stabilized() {
 			return fmt.Sprintf("%s: no stabilization within %d rounds", v.name, limit)
 		}
 		if rel.RandomBits() != ident.RandomBits() {
-			return fmt.Sprintf("%s workers=%d bit accounting: relabeled=%d identity=%d",
-				v.name, workers, rel.RandomBits(), ident.RandomBits())
+			return fmt.Sprintf("%s rescan=%v bit accounting: relabeled=%d identity=%d",
+				v.name, rescan, rel.RandomBits(), ident.RandomBits())
 		}
 		if err := verify.MIS(g, rel.Black); err != nil {
 			return v.name + " relabeled stabilized to non-MIS: " + err.Error()

@@ -85,8 +85,8 @@ func run() int {
 	)
 	flag.Parse()
 
-	// The engine validates WithWorkers < 0 loudly; the pool's 0 = GOMAXPROCS
-	// convention must not swallow negative typos (-workers -3) silently.
+	// -workers sizes the batch pool, where 0 means GOMAXPROCS. A negative
+	// typo (-workers -3) is a usage error here, not a panic in batch.NewPool.
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "missweep: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
 		return 2

@@ -53,26 +53,20 @@
 // Stabilization is detected through the monotone stable core I_t (black
 // vertices with no black neighbor) covering the graph, whose first-cover
 // stamps double as the per-vertex local stabilization times
-// (WithLocalTimes). The engine also provides intra-round parallelism for
-// every process (WithWorkers): the universe is cut into word-aligned
-// partitions dealt evenly across workers (a ceil-divide in 64-bit word
-// units, so no worker idles while another owns two chunks), and every phase
-// of a round scales with the worker count — evaluation, commit, and the
-// membership refresh, which runs in two phases: (1) each worker re-derives
-// work/active bits for the dirty vertices of its own partition (disjoint
-// bitset words; per-worker count deltas merged in worker order), then (2)
-// the few vertices newly entering the stable core stamp coveredAt on their
-// closed neighborhoods sequentially, in ascending vertex order, because
-// those writes cross partitions. Both phases are pure functions of the
-// committed state and stamp with the same round number the sequential scan
-// would, so a parallel run — coverage stamps and all — is bit-identical to
-// the sequential one at every worker count. The engine further provides
-// daemon-scheduled execution bridging
-// internal/sched into the randomized processes (the DaemonRun methods, the
-// misrun -daemon flag and experiment E18), and reusable per-worker run
-// contexts (engine.RunContext): all per-run scratch — bitsets, counters,
-// coverage stamps, per-vertex generator arrays — leases from the worker's
-// context, so a worker amortizes its allocations across thousands of runs.
+// (WithLocalTimes). A round runs sequentially on one goroutine:
+// evaluation, commit, then the membership refresh in ascending vertex
+// order. Parallelism is the batch pool's job (Layer 2): the processes are
+// per-vertex local with independent coins, so a measurement gets its
+// cores from running seeds and sweep cells side by side, not from
+// splitting one round — on the benchmark's 10^6-vertex shapes a round
+// split across two workers ran slower than a sequential one. The engine
+// further provides daemon-scheduled execution bridging internal/sched into
+// the randomized processes (the DaemonRun methods, the misrun -daemon flag
+// and experiment E18), and reusable per-worker run contexts
+// (engine.RunContext): all per-run scratch — bitsets, counters, coverage
+// stamps, per-vertex generator arrays — leases from the worker's context,
+// so a warm worker's rounds allocate nothing and its runs amortize their
+// allocations across thousands of seeds.
 //
 // Layer 1a — the bit-sliced kernel (internal/engine/kernel). All three
 // rules drop to a word-parallel execution path processing 64 vertices per
@@ -93,14 +87,10 @@
 //
 // so core = lo AND NOT hbnA and the class totals are rule-generic word
 // loops. The hasANbr/hasBNbr lanes are maintained incrementally by the
-// sequential commit: a vertex's bit flips exactly when the corresponding
-// neighbor counter crosses zero, so the lanes cost nothing on the
-// (overwhelmingly common) counter updates that do not cross. The parallel
-// commit cannot order those flips race-free against its atomic counter
-// adds, so it only lands state codes atomically and the partitioned refresh
-// re-derives the neighbor-lane words of the dirty frontier from the settled
-// counters; on complete graphs both lanes fill from the class totals in
-// O(n/64) words. The dirty frontier itself is tracked per lane word, not
+// commit: a vertex's bit flips exactly when the corresponding neighbor
+// counter crosses zero, so the lanes cost nothing on the (overwhelmingly
+// common) counter updates that do not cross; on complete graphs both lanes
+// fill from the class totals in O(n/64) words. The dirty frontier itself is tracked per lane word, not
 // per vertex — the refresh re-derives whole words anyway, and the
 // word-index set is 64x smaller (2KB at n=10^6), so the commit's random
 // neighbor marking stays cache-resident. A rule with a mid-round
@@ -162,7 +152,7 @@
 // counters are behind every commit's hottest loop — a random-access
 // read-modify-write scatter into one cell per touched neighbor — and the
 // counter plane restructures that storage without changing a single value
-// anyone reads. Three mechanisms, resolved per graph from the degree
+// anyone reads. Two mechanisms, resolved per graph from the degree
 // profile at Rebuild (WithCounterLayout forces one; auto is the default):
 // width-adaptive tail lanes — a counter never exceeds its vertex's degree,
 // so when the maximum degree outside the hub prefix fits a byte (or a
@@ -173,20 +163,13 @@
 // are packed first, naturally by the generators' weight-sorted ids or by
 // the locality relabeling above, the hub prefix keeps a dense full-width
 // int32 plane small enough to stay cache-resident across a round while the
-// tail (always low-degree) shrinks to its narrow width; and the
-// delta-buffered parallel commit — workers accumulate hub-row updates,
-// exactly the rows every worker contends on, into per-worker dense delta
-// arrays leased from the RunContext and the engine merges them sequentially
-// in worker order after the join (no atomics on hub rows, and the merge
-// flips the kernel's hasANbr/hasBNbr bits for hub words exactly, so the
-// refresh skips pure-hub words entirely), while tail updates stay
-// concurrent through native atomic adds at full width or CAS loops on the
-// aligned word backing for the narrow widths. Counter updates are
-// commutative integer sums, so every layout at every worker count replays
-// coin-for-coin bit-identical executions — the determinism and lockstep
-// matrices pin the layout axis against the scalar golden, CheckIntegrity
-// re-verifies both the layout-selection invariants and a flat recount every
-// time it runs, and the BENCH_kernel.json counter row pairs gate the split
+// tail (always low-degree) shrinks to its narrow width. The plane changes
+// only where a counter is stored, never the value a read returns, so every
+// layout replays coin-for-coin bit-identical executions — the determinism
+// and lockstep matrices pin the layout axis against the scalar golden,
+// CheckIntegrity re-verifies both the layout-selection invariants and a
+// flat recount every time it runs, and the BENCH_kernel.json counter row
+// pairs gate the split
 // at >= 1.1x (flat vs auto on relabeled Chung-Lu n=10^6) and the narrow
 // lanes at >= 1.0x (Gnp n=10^6, must never lose).
 //
@@ -307,7 +290,7 @@
 //
 // Because every vertex draws coins from its own stream split off the master
 // seed, an execution is a pure function of (graph, seed, initializer) — and
-// the engine, its parallel path, its batch-scheduled runs, the
+// the engine, its kernel path, its batch-scheduled runs, the
 // goroutine-per-node runtimes in internal/beeping and internal/stoneage,
 // and the asynchronous medium in internal/async (whose clock streams are
 // disjoint from the coin streams) all draw exactly the same coins.

@@ -196,8 +196,8 @@ type Pool struct {
 }
 
 // NewPool starts a pool with the given number of workers (0 selects
-// GOMAXPROCS). A negative count panics, matching the engine's loud
-// WithWorkers validation — it used to be silently coerced to GOMAXPROCS,
+// GOMAXPROCS). A negative count panics, matching mis.WithWorkers' loud
+// validation — it used to be silently coerced to GOMAXPROCS,
 // which let CLI typos like `-workers -3` pass unnoticed.
 func NewPool(workers int) *Pool {
 	if workers < 0 {

@@ -247,8 +247,8 @@ func TestRecordJournalsEveryDelivery(t *testing.T) {
 }
 
 // Replay prefixes longer than the batch are a caller bug and must panic.
-// A negative worker count is a caller bug (the engine's WithWorkers panics
-// on it too); it must not be silently coerced to GOMAXPROCS.
+// A negative worker count is a caller bug (mis.WithWorkers panics on it
+// too); it must not be silently coerced to GOMAXPROCS.
 func TestNegativeWorkersPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -289,24 +288,5 @@ func TestForEachInRange(t *testing.T) {
 				t.Fatalf("range [%d,%d): got %v, want %v", c.lo, c.hi, got, c.want)
 			}
 		}
-	}
-}
-
-func TestAddAtomicConcurrent(t *testing.T) {
-	const n = 4096
-	s := New(n)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += 8 {
-				s.AddAtomic(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.Count() != n {
-		t.Fatalf("concurrent AddAtomic: count = %d, want %d", s.Count(), n)
 	}
 }

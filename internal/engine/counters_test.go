@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"ssmis/internal/graph"
@@ -67,65 +66,6 @@ func TestResolveCounterLayout(t *testing.T) {
 				c.name, layout, width, hubLen, fellBack, c.layout, c.width, c.hubLen, c.fellBack)
 		}
 	}
-}
-
-// Concurrent CAS adds on the narrow widths must land exact sums on every
-// cell of a shared backing word, including cells a neighboring goroutine is
-// hammering.
-func TestAtomicTailAddConcurrent(t *testing.T) {
-	const n = 64 // one lane word: 8 backing words at width 1, 16 at width 2
-	const perWorker = 500
-	const workers = 8
-	run := func(t *testing.T, width uint8) {
-		back := make([]uint64, n) // oversized; alignment is what matters
-		t8, t16, _ := tailViews(back, width, n)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < perWorker; i++ {
-					cell := rng.Intn(n)
-					if width == 1 {
-						atomicTailAdd(back, t8, cell, 1)
-					} else {
-						atomicTailAdd(back, t16, cell, 1)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		total := int32(0)
-		for u := 0; u < n; u++ {
-			if width == 1 {
-				total += int32(t8[u])
-			} else {
-				total += int32(t16[u])
-			}
-		}
-		if total != workers*perWorker {
-			t.Fatalf("width %d: cells sum to %d, want %d", width, total, workers*perWorker)
-		}
-	}
-	t.Run("uint8", func(t *testing.T) { run(t, 1) })
-	t.Run("uint16", func(t *testing.T) { run(t, 2) })
-}
-
-// The overflow guard is loud: pushing a byte cell past 255 panics instead of
-// wrapping into a neighboring counter.
-func TestAtomicTailAddOverflowPanics(t *testing.T) {
-	back := make([]uint64, 1)
-	t8, _, _ := tailViews(back, 1, 8)
-	for i := 0; i < 255; i++ {
-		atomicTailAdd(back, t8, 3, 1)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("256th increment of a byte cell did not panic")
-		}
-	}()
-	atomicTailAdd(back, t8, 3, 1)
 }
 
 // configure reuses capacity across reshapes and keeps the lane views aliased

@@ -18,13 +18,16 @@
 //     with no black neighbor) only grows, so N+(I_t) is tracked by
 //     first-cover stamps, which doubles as the per-vertex local
 //     stabilization-time instrument;
-//   - optional intra-round parallelism (parallel.go) and daemon-scheduled
-//     execution (daemon.go) shared by every rule.
+//   - daemon-scheduled execution (daemon.go) shared by every rule.
+//
+// Rounds run sequentially on one goroutine. Parallelism lives one level up,
+// across independent runs: internal/batch schedules seeds and sweep cells
+// over worker goroutines, each with its own RunContext.
 //
 // Determinism contract: every vertex draws coins from its own stream, so an
 // execution is a pure function of (graph, rule, initial state, streams) — the
-// worklist order, the worker count, and the commit order never change which
-// coins a vertex sees. This is what keeps the engine coin-for-coin equivalent
+// worklist order and the commit order never change which coins a vertex
+// sees. This is what keeps the engine coin-for-coin equivalent
 // to the goroutine-per-node runtimes in internal/beeping and
 // internal/stoneage, and bit-identical to the pre-engine simulators.
 package engine
@@ -86,9 +89,6 @@ type Options struct {
 	// (black). 0.5 draws one bit per coin; any other value draws a 64-bit
 	// Bernoulli sample, matching the paper's bit accounting.
 	Bias float64
-	// Workers > 1 enables the parallel round path; results are bit-identical
-	// to the sequential path.
-	Workers int
 	// NoopWhenIdle makes Step return without advancing the round counter
 	// when the worklist is empty (the 2-state process's quiescence
 	// semantics: stabilization and empty worklist coincide).
@@ -127,8 +127,8 @@ type Options struct {
 	Order *graph.Ordering
 }
 
-// Draw hands process coins to Rule.Evaluate. Each worker owns one, so bit
-// accounting is race-free; totals are merged into the engine after a round.
+// Draw hands process coins to Rule.Evaluate and counts the bits drawn; the
+// engine folds the count into its total after each round.
 type Draw struct {
 	rngs []*xrand.Rand
 	bias float64
@@ -188,10 +188,8 @@ type Core struct {
 	dirtyW       *bitset.Set // kernel path: dirty lane words (universe = kern.Words())
 	dirtyAll     bool
 	draw         Draw
-	refreshScr   []refreshScratch // per-worker phase-1 refresh accumulators
-	hubDeltas    []hubDelta       // per-worker hub accumulators (parallel commit)
-	forceGeneric bool             // DisableCompleteFastPath
-	ctx          *RunContext      // non-nil when scratch is leased, not owned
+	forceGeneric bool        // DisableCompleteFastPath
+	ctx          *RunContext // non-nil when scratch is leased, not owned
 
 	// daemon accounting (daemon.go)
 	steps int
@@ -210,9 +208,6 @@ func New(g *graph.Graph, rule Rule, initial []uint8, rngs []*xrand.Rand, opts Op
 	// Negated conjunction so NaN fails too.
 	if !(opts.Bias > 0 && opts.Bias < 1) {
 		panic(fmt.Sprintf("engine: coin bias %v outside (0,1)", opts.Bias))
-	}
-	if opts.Workers < 0 {
-		panic(fmt.Sprintf("engine: negative worker count %d", opts.Workers))
 	}
 	if opts.Order != nil && len(opts.Order.Perm) != n {
 		panic(fmt.Sprintf("engine: ordering over %d vertices for graph order %d",
@@ -391,15 +386,11 @@ func (e *Core) Step() {
 	if e.opts.NoopWhenIdle && e.workCnt == 0 {
 		return
 	}
-	if e.opts.Workers > 1 {
-		e.stepParallel()
-		return
-	}
 	if e.kern != nil {
 		// Bit-sliced evaluation: whole active words, coins from the same
 		// per-vertex streams in the same ascending order as the loop below.
 		var drawn int64
-		e.changes, drawn = e.kern.EvalWords(0, e.kern.Words(), e.rngs, e.opts.Bias, e.changes[:0])
+		e.changes, drawn = e.kern.EvalWords(e.rngs, e.opts.Bias, e.changes[:0])
 		e.bits += drawn
 	} else {
 		e.changes = e.changes[:0]

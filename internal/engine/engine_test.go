@@ -102,35 +102,6 @@ func TestFrontierMatchesFullRescan(t *testing.T) {
 	}
 }
 
-// The parallel path must be bit-identical to the sequential path.
-func TestParallelMatchesSequential(t *testing.T) {
-	master := xrand.New(8)
-	for trial := 0; trial < 10; trial++ {
-		r := master.Split(uint64(trial))
-		n := 50 + r.Intn(250)
-		g := graph.Gnp(n, 4/float64(n)+r.Float64()*0.05, r)
-		seq := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true})
-		par := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true, Workers: 8})
-		for i := 0; i < 5000 && !seq.Stabilized(); i++ {
-			seq.Step()
-			par.Step()
-			if !statesEqual(seq, par) {
-				t.Fatalf("trial %d round %d: parallel diverged", trial, seq.Round())
-			}
-			if err := par.CheckIntegrity(); err != nil {
-				t.Fatalf("trial %d (parallel): %v", trial, err)
-			}
-		}
-		if seq.Bits() != par.Bits() || seq.Round() != par.Round() {
-			t.Fatalf("trial %d: accounting differs (bits %d/%d rounds %d/%d)",
-				trial, seq.Bits(), par.Bits(), seq.Round(), par.Round())
-		}
-		if !par.Stabilized() {
-			t.Fatalf("trial %d: parallel did not stabilize", trial)
-		}
-	}
-}
-
 // Under the synchronous daemon the daemon-scheduled execution coincides with
 // the synchronous Step loop, coin for coin.
 func TestDaemonSynchronousMatchesStep(t *testing.T) {
@@ -226,7 +197,6 @@ func TestOptionValidation(t *testing.T) {
 	}
 	mustPanic("zero bias", func() { newTestCore(g, 1, Options{Bias: -1}) })
 	mustPanic("bias 1", func() { newTestCore(g, 1, Options{Bias: 1}) })
-	mustPanic("negative workers", func() { newTestCore(g, 1, Options{Bias: 0.5, Workers: -2}) })
 	mustPanic("short state", func() {
 		New(graph.Path(3), testRule{}, make([]uint8, 2),
 			make([]*xrand.Rand, 3), Options{Bias: 0.5})

@@ -25,16 +25,14 @@
 //
 // The neighbor lanes are not recomputed from scratch each round: the engine
 // maintains them incrementally from its counters at commit time — a bit
-// flips only when the counter crosses zero — or re-derives just the dirty
-// words during a parallel refresh (see engine/kernelpath.go for why the
-// parallel commit cannot flip bits race-free). The gate lane is re-exported
-// wholesale after each mid-round sub-process step (engine.KernelGate).
+// flips only when the counter crosses zero (see engine/kernelpath.go). The
+// gate lane is re-exported wholesale after each mid-round sub-process step
+// (engine.KernelGate).
 package kernel
 
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"ssmis/internal/xrand"
 )
@@ -198,31 +196,6 @@ func (l *Lanes) SetState(u int, s uint8) {
 	}
 }
 
-// SetStateAtomic writes the lane code of state s at vertex u with atomic
-// word operations, so a parallel commit's workers can land codes in shared
-// words (each vertex's bits are written by exactly one worker per round).
-// Mixing with the non-atomic mutators concurrently is not safe.
-func (l *Lanes) SetStateAtomic(u int, s uint8) {
-	c := l.prog.codeOf[s]
-	if c == invalidCode {
-		panic(fmt.Sprintf("kernel: state %d not in the lane encoding", s))
-	}
-	bit := uint64(1) << (uint(u) % wordBits)
-	wi := u / wordBits
-	if c&1 != 0 {
-		atomic.OrUint64(&l.lo[wi], bit)
-	} else {
-		atomic.AndUint64(&l.lo[wi], ^bit)
-	}
-	if l.prog.useHi {
-		if c&2 != 0 {
-			atomic.OrUint64(&l.hi[wi], bit)
-		} else {
-			atomic.AndUint64(&l.hi[wi], ^bit)
-		}
-	}
-}
-
 // SetHasANbr sets the hasANbr bit of vertex u — the incremental maintenance
 // hook: the engine's sequential commit calls it exactly when vertex u's
 // counter A crosses zero.
@@ -286,27 +259,19 @@ func (l *Lanes) LoadState(state []uint8) {
 	}
 }
 
-// LoadCounters packs the neighbor lanes from the engine's counters (bit u
-// set ⟺ counter > 0) for every word. Rebuild-time bulk load; nbrB is
-// ignored unless the program engages the B lane.
+// LoadCounters packs the neighbor lanes from flat counter arrays (bit u
+// set ⟺ counter > 0) for every word; nbrB is ignored unless the program
+// engages the B lane. The engine's counter plane loads its lanes through
+// its own plane-aware settle instead; this is the flat reference.
 func (l *Lanes) LoadCounters(nbrA, nbrB []int32) {
 	if len(nbrA) != l.n {
 		panic("kernel: counter length mismatch")
 	}
-	if l.prog.spec.UseB && len(nbrB) != l.n {
+	useB := l.prog.spec.UseB
+	if useB && len(nbrB) != l.n {
 		panic("kernel: counter B length mismatch")
 	}
-	l.LoadCountersWords(nbrA, nbrB, 0, len(l.hbnA))
-}
-
-// LoadCountersWords re-derives the neighbor-lane bits of words [loWord,
-// hiWord) from the counters. The parallel refresh uses it on the dirty
-// words of each worker's partition: counter updates commit with atomic adds
-// whose interleaving cannot order bit flips race-free, so the settled
-// counters are re-read after the commit barrier instead.
-func (l *Lanes) LoadCountersWords(nbrA, nbrB []int32, loWord, hiWord int) {
-	useB := l.prog.spec.UseB
-	for wi := loWord; wi < hiWord; wi++ {
+	for wi := range l.hbnA {
 		base := wi * wordBits
 		hi := base + wordBits
 		if hi > l.n {
@@ -338,23 +303,17 @@ func (l *Lanes) LoadCountersWords(nbrA, nbrB []int32, loWord, hiWord int) {
 // and zero otherwise — O(n/64) for the complete-graph refresh. The hasBNbr
 // lane follows the same shape over the ClassB word lo∧hi with totalB.
 func (l *Lanes) FillHBNComplete(totalA, totalB int) {
-	l.FillHBNCompleteWords(totalA, totalB, 0, len(l.hbnA))
-}
-
-// FillHBNCompleteWords is FillHBNComplete restricted to words [loWord,
-// hiWord) — one partition of the parallel full-rescan refresh.
-func (l *Lanes) FillHBNCompleteWords(totalA, totalB, loWord, hiWord int) {
 	switch {
 	case totalA >= 2:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnA {
 			l.hbnA[wi] = l.mask(wi)
 		}
 	case totalA == 1:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnA {
 			l.hbnA[wi] = ^l.lo[wi] & l.mask(wi)
 		}
 	default:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnA {
 			l.hbnA[wi] = 0
 		}
 	}
@@ -363,15 +322,15 @@ func (l *Lanes) FillHBNCompleteWords(totalA, totalB, loWord, hiWord int) {
 	}
 	switch {
 	case totalB >= 2:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnB {
 			l.hbnB[wi] = l.mask(wi)
 		}
 	case totalB == 1:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnB {
 			l.hbnB[wi] = ^(l.lo[wi] & l.hi[wi]) & l.mask(wi)
 		}
 	default:
-		for wi := loWord; wi < hiWord; wi++ {
+		for wi := range l.hbnB {
 			l.hbnB[wi] = 0
 		}
 	}
@@ -414,26 +373,25 @@ func (l *Lanes) CoreWord(wi int) uint64 {
 // BlackWord returns the black-projection lane word wi.
 func (l *Lanes) BlackWord(wi int) uint64 { return l.lo[wi] }
 
-// EvalWords evaluates one synchronous round over the words [loWord, hiWord):
-// every touched vertex, in ascending vertex order, either draws a coin from
+// EvalWords evaluates one synchronous round over every lane word: each
+// touched vertex, in ascending vertex order, either draws a coin from
 // its own stream (active: next code from the CoinHi/CoinLo maps) or takes
 // its forced transition (ForcedOn/ForcedOff by its gate bit, no coin), and
 // the vertices whose state changes are appended to dst as pending changes.
-// Nothing is committed — the lanes stay frozen at the pre-round state, so
-// concurrent workers may evaluate disjoint word ranges of the same round.
+// Nothing is committed — the lanes stay frozen at the pre-round state.
 // It returns the extended change list and the number of random bits drawn,
 // matching the scalar engine's accounting exactly: one bit per coin at bias
 // 1/2, one 64-bit Bernoulli sample per coin otherwise.
-func (l *Lanes) EvalWords(loWord, hiWord int, rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
+func (l *Lanes) EvalWords(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	p := l.prog
 	if p.fast2 {
-		return l.evalWordsFlip(loWord, hiWord, rngs, bias, dst)
+		return l.evalWordsFlip(rngs, bias, dst)
 	}
 	if p.coinConst {
-		return l.evalWordsCoinConst(loWord, hiWord, rngs, bias, dst)
+		return l.evalWordsCoinConst(rngs, bias, dst)
 	}
 	var drawn int64
-	for wi := loWord; wi < hiWord; wi++ {
+	for wi := range l.lo {
 		low, hiw, aw, bw := l.laneWords(wi)
 		m := l.mask(wi)
 		tw := p.touched(low, hiw, aw, bw) & m
@@ -491,12 +449,12 @@ func (l *Lanes) EvalWords(loWord, hiWord int, rngs []*xrand.Rand, bias float64, 
 // vertex's own stream in ascending order (draw order across vertices is
 // irrelevant — the streams are independent), and changes are emitted in
 // ascending vertex order exactly as the generic loop does.
-func (l *Lanes) evalWordsCoinConst(loWord, hiWord int, rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
+func (l *Lanes) evalWordsCoinConst(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	p := l.prog
 	cc := &p.cc
 	stateOf := &p.spec.StateOf
 	var drawn int64
-	for wi := loWord; wi < hiWord; wi++ {
+	for wi := range l.lo {
 		low, hiw, aw, bw := l.laneWords(wi)
 		m := l.mask(wi)
 		tw := p.touched(low, hiw, aw, bw) & m
@@ -541,10 +499,10 @@ func (l *Lanes) evalWordsCoinConst(loWord, hiWord int, rngs []*xrand.Rand, bias 
 // is the coin itself, so transitions accumulate as an XOR flip word and
 // only the flipped bits are revisited — the hot loop the CI speed gate
 // pins, kept free of the generic path's per-bit map lookups.
-func (l *Lanes) evalWordsFlip(loWord, hiWord int, rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
+func (l *Lanes) evalWordsFlip(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	white, blk := l.prog.spec.StateOf[0], l.prog.spec.StateOf[1]
 	var drawn int64
-	for wi := loWord; wi < hiWord; wi++ {
+	for wi := range l.lo {
 		aw := ^(l.lo[wi] ^ l.hbnA[wi]) & l.mask(wi)
 		if aw == 0 {
 			continue

@@ -342,7 +342,7 @@ func TestEvalWordsMatchesScalar(t *testing.T) {
 				}
 				return rngs
 			}
-			kChanges, kBits := l.EvalWords(0, l.Words(), mkStreams(), bias, nil)
+			kChanges, kBits := l.EvalWords(mkStreams(), bias, nil)
 			sChanges, sBits := scalarEval(l, mkStreams(), bias)
 			if kBits != sBits {
 				t.Fatalf("%s trial %d: bits %d vs %d", tc.name, trial, kBits, sBits)
@@ -353,21 +353,6 @@ func TestEvalWordsMatchesScalar(t *testing.T) {
 			for i := range kChanges {
 				if kChanges[i] != sChanges[i] {
 					t.Fatalf("%s trial %d change %d: %+v vs %+v", tc.name, trial, i, kChanges[i], sChanges[i])
-				}
-			}
-			// Split ranges must concatenate to the full evaluation.
-			if l.Words() > 1 {
-				cut := 1 + int(master.Split(uint64(trial)).Uint64()%uint64(l.Words()-1))
-				rngs := mkStreams()
-				part1, b1 := l.EvalWords(0, cut, rngs, bias, nil)
-				part2, b2 := l.EvalWords(cut, l.Words(), rngs, bias, part1)
-				if b1+b2 != sBits || len(part2) != len(sChanges) {
-					t.Fatalf("%s trial %d: split eval accounting diverged", tc.name, trial)
-				}
-				for i := range part2 {
-					if part2[i] != sChanges[i] {
-						t.Fatalf("%s trial %d: split eval change %d diverged", tc.name, trial, i)
-					}
 				}
 			}
 		}

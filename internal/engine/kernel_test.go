@@ -86,20 +86,18 @@ func lockstep(t *testing.T, name string, kern, scal *Core, maxRounds int) {
 }
 
 // The kernel must be coin-for-coin bit-identical to the scalar engine on
-// random graphs at every worker count, with and without the frontier.
+// random graphs, with and without the frontier.
 func TestKernelMatchesScalarEngine(t *testing.T) {
 	master := xrand.New(41)
 	for trial := 0; trial < 12; trial++ {
 		r := master.Split(uint64(trial))
 		n := 2 + r.Intn(300)
 		g := graph.Gnp(n, r.Float64()*0.15, r)
-		for _, workers := range []int{1, 2, 8} {
-			kern := newKernelCore(g, uint64(trial), Options{NoopWhenIdle: true, Workers: workers})
-			scal := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true, Scalar: true})
-			lockstep(t, "frontier", kern, scal, 4*n+200)
-		}
-		kern := newKernelCore(g, uint64(trial), Options{NoopWhenIdle: true, FullRescan: true, Workers: 8})
-		scal := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true})
+		kern := newKernelCore(g, uint64(trial), Options{NoopWhenIdle: true})
+		scal := newTestCore(g, uint64(trial), Options{NoopWhenIdle: true, Scalar: true})
+		lockstep(t, "frontier", kern, scal, 4*n+200)
+		kern = newKernelCore(g, uint64(trial), Options{NoopWhenIdle: true, FullRescan: true})
+		scal = newTestCore(g, uint64(trial), Options{NoopWhenIdle: true})
 		lockstep(t, "full-rescan", kern, scal, 4*n+200)
 	}
 }
@@ -123,19 +121,17 @@ func TestKernelMatchesScalarBiased(t *testing.T) {
 func TestKernelCompleteFastPath(t *testing.T) {
 	g := graph.Complete(257) // odd size: partial tail word
 	for seed := uint64(0); seed < 3; seed++ {
-		for _, workers := range []int{1, 8} {
-			kern := newKernelCore(g, seed, Options{NoopWhenIdle: true, Workers: workers})
-			if !kern.Complete() {
-				t.Fatal("complete fast path not engaged")
-			}
-			scal := newTestCore(g, seed, Options{NoopWhenIdle: true})
-			lockstep(t, "complete", kern, scal, 4000)
-
-			generic := newKernelCore(g, seed, Options{NoopWhenIdle: true, Workers: workers})
-			generic.DisableCompleteFastPath()
-			scal2 := newTestCore(g, seed, Options{NoopWhenIdle: true})
-			lockstep(t, "complete-generic", generic, scal2, 4000)
+		kern := newKernelCore(g, seed, Options{NoopWhenIdle: true})
+		if !kern.Complete() {
+			t.Fatal("complete fast path not engaged")
 		}
+		scal := newTestCore(g, seed, Options{NoopWhenIdle: true})
+		lockstep(t, "complete", kern, scal, 4000)
+
+		generic := newKernelCore(g, seed, Options{NoopWhenIdle: true})
+		generic.DisableCompleteFastPath()
+		scal2 := newTestCore(g, seed, Options{NoopWhenIdle: true})
+		lockstep(t, "complete-generic", generic, scal2, 4000)
 	}
 }
 

@@ -12,16 +12,9 @@ package engine
 //     rule's compiled lane program, drawing each coin from that vertex's own
 //     stream in ascending order — coin-for-coin bit-identical to the scalar
 //     loop;
-//   - the sequential commit maintains the neighbor lanes incrementally: a
-//     bit flips exactly when the vertex's counter crosses zero (for the
-//     3-state rule that includes the black1→black0 demotion's counter-B
-//     decrement);
-//   - the parallel commit cannot flip those bits race-free (its counter
-//     updates are atomic adds whose interleaving with atomic word OR/AND
-//     could leave a bit disagreeing with the settled counter), so it only
-//     lands the state codes atomically and the partitioned refresh
-//     re-derives the neighbor bits of the dirty words from the settled
-//     counters;
+//   - the commit maintains the neighbor lanes incrementally: a bit flips
+//     exactly when the vertex's counter crosses zero (for the 3-state rule
+//     that includes the black1→black0 demotion's counter-B decrement);
 //   - refresh re-derives memberships a word at a time: the touched and
 //     active words come from the compiled predicates, stored wholesale into
 //     the work/active bitsets with popcount deltas, and the new stable-core
@@ -43,7 +36,6 @@ package engine
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"ssmis/internal/bitset"
 	"ssmis/internal/engine/kernel"
@@ -103,7 +95,7 @@ func (e *Core) initKernel(n int) {
 		// dirty frontier is tracked at word granularity: a set over the
 		// ⌈n/64⌉ word indices (n=10^6 → 2KB, L1-resident) instead of the
 		// 128KB per-vertex set the scalar path marks — the hottest writes in
-		// the sequential commit by a wide margin.
+		// the commit by a wide margin.
 		e.dirtyW = bitset.New(e.kern.Words())
 	}
 }
@@ -387,11 +379,11 @@ func (e *Core) refreshKernelWord(wi int) {
 	}
 }
 
-// refreshKernelSeq is the sequential kernel refresh. The incremental
+// refreshKernel is refresh on the kernel path. The incremental
 // neighbor-lane maintenance in commitKernel keeps the lanes exact here
 // except on the complete-graph path, which re-derives them from the class
 // totals in O(n/64) words.
-func (e *Core) refreshKernelSeq() {
+func (e *Core) refreshKernel() {
 	if e.dirtyAll || e.opts.FullRescan {
 		if e.complete {
 			e.kern.FillHBNComplete(e.totalA, e.totalB)
@@ -409,97 +401,4 @@ func (e *Core) refreshKernelSeq() {
 	}
 	e.dirtyAll = false
 	e.dirtyW.Clear()
-}
-
-// refreshKernelParallel is the two-phase partitioned refresh on lanes.
-// Phase 1 first settles the neighbor bits the parallel commit could not
-// flip — re-deriving each partition's dirty words (or, on a full rescan,
-// its whole word range) from the post-commit counter plane — then derives
-// memberships per word; entrants are collected per worker and stamped
-// sequentially in phase 2, exactly as the scalar refreshParallel does.
-// Words fully inside the hub prefix need no settling: the sequential delta
-// merge already flipped their zero-crossing bits exactly.
-func (e *Core) refreshKernelParallel(full bool) {
-	n := e.g.N()
-	workers := e.opts.Workers
-	bufs := e.refreshBufsFor(workers)
-	sameTA := e.kern.Program().TouchedIsActive()
-	hubSkip := 0
-	if !e.complete {
-		hubSkip = e.plane.hubWords
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		bufs[w].dWork, bufs[w].dActive = 0, 0
-		bufs[w].entrants = bufs[w].entrants[:0]
-		lo, hi := partitionRange(n, workers, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			loWord, hiWord := lo/64, (hi+63)/64
-			dw, da := 0, 0
-			entrants := bufs[w].entrants
-			scanWord := func(wi int) {
-				tw := e.kern.TouchedWord(wi)
-				if old := e.work.Word(wi); tw != old {
-					e.work.SetWord(wi, tw)
-					dw += bits.OnesCount64(tw) - bits.OnesCount64(old)
-				}
-				aw := tw
-				if !sameTA {
-					aw = e.kern.ActiveWord(wi)
-				}
-				if old := e.active.Word(wi); aw != old {
-					e.active.SetWord(wi, aw)
-					da += bits.OnesCount64(aw) - bits.OnesCount64(old)
-				}
-				if ent := e.kern.CoreWord(wi) &^ e.inI.Word(wi); ent != 0 {
-					base := wi * 64
-					for x := ent; x != 0; x &= x - 1 {
-						entrants = append(entrants, int32(base+bits.TrailingZeros64(x)))
-					}
-				}
-			}
-			if full {
-				if e.complete {
-					e.kern.FillHBNCompleteWords(e.totalA, e.totalB, loWord, hiWord)
-				} else if hiWord > hubSkip {
-					e.settleHBNWords(max(loWord, hubSkip), hiWord)
-				}
-				for wi := loWord; wi < hiWord; wi++ {
-					scanWord(wi)
-				}
-			} else {
-				e.dirtyW.ForEachWordInRange(loWord, hiWord, func(base int, w uint64) {
-					for ; w != 0; w &= w - 1 {
-						wi := base + bits.TrailingZeros64(w)
-						if !e.complete && wi >= hubSkip {
-							e.settleHBNWords(wi, wi+1)
-						}
-						// Complete graph: only class-preserving changes reach
-						// here (anything else sets dirtyAll), so the lanes are
-						// already exact and only memberships need re-deriving.
-						// Pure-hub words: exact since the delta merge.
-						scanWord(wi)
-					}
-				})
-			}
-			bufs[w].dWork, bufs[w].dActive, bufs[w].entrants = dw, da, entrants
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := range bufs {
-		e.workCnt += bufs[w].dWork
-		e.activeCnt += bufs[w].dActive
-	}
-	// Phase 2: per-worker entrant lists are ascending and the partition is
-	// ordered, so concatenation stamps in ascending vertex order.
-	for w := range bufs {
-		for _, v := range bufs[w].entrants {
-			e.enterCore(int(v))
-		}
-	}
 }

@@ -5,64 +5,16 @@ package engine
 // every vertex whose state or neighborhood changed (the dirty frontier) —
 // or for all of [0, n) under FullRescan and on the complete-graph fast
 // path, where counters are class totals and any change can touch every
-// vertex. Those full-rescan rounds are O(n), and on high-churn rounds even
-// the dirty frontier approaches the whole graph, so with Workers > 1 the
-// refresh is partitioned and parallel in two phases:
-//
-//  1. Vertex-local re-derive. The universe is cut into the same
-//     word-aligned partitions the parallel step uses (partitionRange), and
-//     each worker re-derives the work/active bits of the dirty vertices in
-//     its own partition. The bits land in disjoint bitset words; the
-//     workCnt/activeCnt movements accumulate in per-worker deltas, merged
-//     in worker order after the join. Everything this phase reads — state,
-//     counters, the dirty set, I_t — is frozen, so it is a pure per-vertex
-//     function (deriveMembership).
-//
-//  2. Ordered coverage stamping. A vertex newly entering the stable core
-//     I_t stamps coveredAt on itself AND its neighbors — a cross-partition
-//     write — so phase 1 only collects the new entrants per worker and
-//     phase 2 stamps them sequentially in ascending vertex order
-//     (concatenating the per-worker lists preserves it). The entrant set
-//     is bounded by this round's changes, not by n: the scan is the part
-//     worth parallelizing, the stamping is not.
-//
-// Determinism: phase 1's membership bits and count deltas are
-// order-independent, and phase 2 stamps every covered vertex with the same
-// current round the sequential path would, so the refresh is bit-identical
-// at every worker count — including the coveredAt stamps that back the
-// local-times instrument.
+// vertex. Vertices are visited in ascending order, so new stable-core
+// entrants stamp coveredAt on their closed neighborhoods in vertex order.
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // refresh re-derives worklist/active/coverage membership for the dirty
 // frontier (or every vertex under FullRescan / the complete-graph path).
 func (e *Core) refresh() {
-	if e.opts.Workers > 1 {
-		if e.kern != nil {
-			e.refreshKernelParallel(e.dirtyAll || e.opts.FullRescan)
-			e.dirtyAll = false
-			e.dirtyW.Clear()
-			return
-		}
-		e.refreshParallel(e.dirtyAll || e.opts.FullRescan)
-		e.dirtyAll = false
-		e.dirty.Clear()
-		return
-	}
-	e.refreshSeq()
-}
-
-// refreshSeq is refresh forced down the sequential path regardless of the
-// worker count. DaemonStep uses it: a daemon step moves a handful of
-// vertices, so the dirty frontier is O(Σ deg(moved)) and spawning the
-// worker pool per step would be pure coordination overhead. Both paths are
-// bit-identical, so this is a scheduling choice, never a semantic one.
-func (e *Core) refreshSeq() {
 	if e.kern != nil {
-		e.refreshKernelSeq()
+		e.refreshKernel()
 		return
 	}
 	if e.dirtyAll || e.opts.FullRescan {
@@ -81,47 +33,34 @@ func (e *Core) refreshSeq() {
 	e.dirty.Clear()
 }
 
-// refreshVertex is the sequential path: both phases fused per vertex.
+// refreshVertex re-derives the work/active bits of v from its state and
+// counters, and records v's entry into the stable core.
 func (e *Core) refreshVertex(v int) {
-	dw, da, enters := e.deriveMembership(v)
-	e.workCnt += dw
-	e.activeCnt += da
-	if enters {
-		e.enterCore(v)
-	}
-}
-
-// deriveMembership re-derives the work/active bits of v from its state and
-// counters (phase 1). It writes only v's own bitset words, returns the
-// workCnt/activeCnt movement instead of mutating the shared counts, and
-// reports whether v newly enters the stable core — the stamping itself is
-// phase 2 (enterCore).
-func (e *Core) deriveMembership(v int) (dWork, dActive int, entersCore bool) {
 	s := e.state[v]
 	a, b := e.countA(v), e.countB(v)
 	if t := e.rule.Touched(v, s, a, b); t != e.work.Contains(v) {
 		e.work.SetTo(v, t)
 		if t {
-			dWork = 1
+			e.workCnt++
 		} else {
-			dWork = -1
+			e.workCnt--
 		}
 	}
 	if act := e.rule.Active(v, s, a, b); act != e.active.Contains(v) {
 		e.active.SetTo(v, act)
 		if act {
-			dActive = 1
+			e.activeCnt++
 		} else {
-			dActive = -1
+			e.activeCnt--
 		}
 	}
-	entersCore = e.rule.Black(s) && a == 0 && !e.inI.Contains(v)
-	return dWork, dActive, entersCore
+	if e.rule.Black(s) && a == 0 && !e.inI.Contains(v) {
+		e.enterCore(v)
+	}
 }
 
 // enterCore records v's entry into the stable core: v joins I_t and its
-// whole closed neighborhood is stamped covered (phase 2 — writes neighbor
-// stamps, so the parallel refresh serializes calls in vertex order).
+// whole closed neighborhood is stamped covered.
 func (e *Core) enterCore(v int) {
 	e.inI.Add(v)
 	e.cover(v)
@@ -135,80 +74,5 @@ func (e *Core) cover(v int) {
 	if e.coveredAt[v] < 0 {
 		e.coveredAt[v] = int32(e.round)
 		e.coveredCnt++
-	}
-}
-
-// refreshScratch is one worker's phase-1 accumulator: membership-count
-// deltas plus the partition's new stable-core entrants in vertex order.
-type refreshScratch struct {
-	dWork, dActive int
-	entrants       []int32
-}
-
-// refreshBufsFor returns the per-worker phase-1 accumulators, growing the
-// engine's scratch (context-leased or owned) to the worker count and
-// keeping already-grown entrant buffers across the reshape.
-func (e *Core) refreshBufsFor(workers int) []refreshScratch {
-	if cap(e.refreshScr) < workers {
-		grown := make([]refreshScratch, workers)
-		copy(grown, e.refreshScr[:cap(e.refreshScr)])
-		e.refreshScr = grown
-	}
-	e.refreshScr = e.refreshScr[:workers]
-	return e.refreshScr
-}
-
-// refreshParallel runs the two-phase partitioned refresh with opts.Workers
-// goroutines over the full universe (full=true) or the dirty frontier.
-func (e *Core) refreshParallel(full bool) {
-	n := e.g.N()
-	workers := e.opts.Workers
-	bufs := e.refreshBufsFor(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		bufs[w].dWork, bufs[w].dActive = 0, 0
-		bufs[w].entrants = bufs[w].entrants[:0]
-		lo, hi := partitionRange(n, workers, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			dw, da := 0, 0
-			entrants := bufs[w].entrants
-			scan := func(v int) {
-				w1, a1, enters := e.deriveMembership(v)
-				dw += w1
-				da += a1
-				if enters {
-					entrants = append(entrants, int32(v))
-				}
-			}
-			if full {
-				for v := lo; v < hi; v++ {
-					scan(v)
-				}
-			} else {
-				e.dirty.ForEachWordInRange(lo, hi, func(base int, w uint64) {
-					for ; w != 0; w &= w - 1 {
-						scan(base + bits.TrailingZeros64(w))
-					}
-				})
-			}
-			bufs[w].dWork, bufs[w].dActive, bufs[w].entrants = dw, da, entrants
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := range bufs {
-		e.workCnt += bufs[w].dWork
-		e.activeCnt += bufs[w].dActive
-	}
-	// Phase 2: per-worker entrant lists are ascending and the partition is
-	// ordered, so concatenation stamps in ascending vertex order.
-	for w := range bufs {
-		for _, v := range bufs[w].entrants {
-			e.enterCore(int(v))
-		}
 	}
 }

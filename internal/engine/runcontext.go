@@ -35,8 +35,6 @@ type RunContext struct {
 	classTab                 []uint8
 	changes                  []change
 	priv                     []int
-	refreshScr               []refreshScratch
-	hubDeltas                []hubDelta
 	lanes                    kernel.Lanes
 	dirtyW                   bitset.Set
 
@@ -204,10 +202,8 @@ func (c *RunContext) lease(e *Core, n, numStates int) {
 	e.classTab = c.classTab
 	e.changes = c.changes[:0]
 	e.priv = c.priv[:0]
-	e.refreshScr = c.refreshScr[:0]
-	e.hubDeltas = c.hubDeltas[:0]
-	// The counter plane (Rebuild configures it per graph) and the parallel
-	// commit's hub delta buffers reuse the context's backing across runs.
+	// The counter plane (Rebuild configures it per graph) reuses the
+	// context's backing across runs.
 	e.plane = &c.plane
 }
 
@@ -218,8 +214,6 @@ func (e *Core) syncScratch() {
 	if e.ctx != nil {
 		e.ctx.changes = e.changes
 		e.ctx.priv = e.priv
-		e.ctx.refreshScr = e.refreshScr
-		e.ctx.hubDeltas = e.hubDeltas
 	}
 }
 

@@ -95,37 +95,3 @@ func TestRunContextAmortizesAllocations(t *testing.T) {
 		t.Fatalf("context-backed run averaged %.1f allocations, want O(1)", avg)
 	}
 }
-
-// The delta-buffered parallel commit leases its per-worker hub accumulators
-// from the context: across back-to-back parallel runs on the same context
-// the dense delta arrays must be recycled, not reallocated, and re-leasing
-// at steady state must not allocate at all.
-func TestRunContextReusesHubDeltaBuffers(t *testing.T) {
-	g := graph.CompleteBipartite(80, 100) // every degree >= HubDegreeMin: hubLen = 180
-	ctx := NewRunContext()
-	opts := Options{NoopWhenIdle: true, Workers: 4}
-	runToStable(t, newCtxCore(g, 1, ctx, opts))
-	if len(ctx.hubDeltas) != opts.Workers {
-		t.Fatalf("context holds %d hub delta buffers, want %d", len(ctx.hubDeltas), opts.Workers)
-	}
-	before := make([]*int32, len(ctx.hubDeltas))
-	for w := range ctx.hubDeltas {
-		if cap(ctx.hubDeltas[w].dA) < 180 {
-			t.Fatalf("worker %d hub delta buffer sized %d, want >= 180", w, cap(ctx.hubDeltas[w].dA))
-		}
-		before[w] = &ctx.hubDeltas[w].dA[0]
-	}
-	runToStable(t, newCtxCore(g, 2, ctx, opts))
-	for w := range before {
-		if before[w] != &ctx.hubDeltas[w].dA[0] {
-			t.Fatalf("worker %d hub delta buffer reallocated across runs", w)
-		}
-	}
-	// Steady-state re-lease: sizing the accumulators for the warm plane is
-	// allocation-free (the per-round path of the parallel commit).
-	e := newCtxCore(g, 3, ctx, opts)
-	runToStable(t, e)
-	if avg := testing.AllocsPerRun(50, func() { e.hubDeltaBufsFor(opts.Workers, 180) }); avg != 0 {
-		t.Fatalf("hub delta lease averaged %.1f allocations at steady state, want 0", avg)
-	}
-}

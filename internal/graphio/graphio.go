@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -44,8 +45,13 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	return nil
 }
 
+// maxVertices is the largest vertex count the readers accept: the graph
+// stores vertex ids as int32.
+const maxVertices = math.MaxInt32
+
 // ReadEdgeList parses the edge-list text format. The "n <count>" header is
-// required before the first edge; vertices outside [0, n) are an error.
+// required before the first edge; a count above math.MaxInt32 (vertex ids
+// are int32) and vertices outside [0, n) are errors.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -66,8 +72,8 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 				return nil, fmt.Errorf("graphio: line %d: malformed header %q", lineNo, line)
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graphio: line %d: bad vertex count %q", lineNo, fields[1])
+			if err != nil || n < 0 || n > maxVertices {
+				return nil, fmt.Errorf("graphio: line %d: bad vertex count %q (want 0..%d)", lineNo, fields[1], maxVertices)
 			}
 			b = graph.NewBuilder(n)
 			continue
@@ -119,15 +125,16 @@ func WriteJSON(w io.Writer, g *graph.Graph) error {
 	return nil
 }
 
-// ReadJSON parses the JSON interchange format.
+// ReadJSON parses the JSON interchange format, with the same vertex-count
+// and endpoint rules as ReadEdgeList.
 func ReadJSON(r io.Reader) (*graph.Graph, error) {
 	var jg jsonGraph
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&jg); err != nil {
 		return nil, fmt.Errorf("graphio: decode json: %w", err)
 	}
-	if jg.N < 0 {
-		return nil, fmt.Errorf("graphio: negative vertex count %d", jg.N)
+	if jg.N < 0 || jg.N > maxVertices {
+		return nil, fmt.Errorf("graphio: vertex count %d outside 0..%d", jg.N, maxVertices)
 	}
 	b := graph.NewBuilder(jg.N)
 	for i, e := range jg.Edges {

@@ -59,3 +59,30 @@ func TestThreeColorRunContextAmortizesAllocations(t *testing.T) {
 		t.Fatalf("context-backed 3-color run averaged %.1f allocations, want O(1)", avg)
 	}
 }
+
+// With a warm run context, a round of the 3-state process allocates
+// nothing. The graph is an id-scrambled Chung-Lu instance (hubs scattered
+// through the id space, the shape of perfbench's chunglu1m-3state-par
+// workload at a test size), and the process is built with WithWorkers(2)
+// as that workload builds it: the deprecated option must not bring back a
+// per-round cost.
+func TestThreeStateStepAllocationFree(t *testing.T) {
+	g := graph.ChungLu(8192, 2.5, 10, xrand.New(5))
+	g = graph.Relabel(g, randPermI32(g.N(), xrand.New(6)))
+	ctx := engine.NewRunContext()
+	mk := func() *ThreeState { return NewThreeState(g, WithRunContext(ctx), WithSeed(3), WithWorkers(2)) }
+	// Warm the context on the same execution that is measured, so every
+	// append-grown buffer already has the capacity the measured rounds need.
+	res := Run(mk(), 4*DefaultRoundCap(g.N()))
+	if !res.Stabilized || res.Rounds < 2 {
+		t.Fatalf("warm-up run %+v", res)
+	}
+	p := mk()
+	// AllocsPerRun calls Step once more than asked: res.Rounds steps in all.
+	if avg := testing.AllocsPerRun(res.Rounds-1, p.Step); avg != 0 {
+		t.Fatalf("Step averaged %.2f allocations per round on a warm context, want 0", avg)
+	}
+	if !p.Stabilized() || p.Round() != res.Rounds {
+		t.Fatalf("measured run at round %d (stabilized=%v), warm-up %+v", p.Round(), p.Stabilized(), res)
+	}
+}

@@ -206,24 +206,6 @@ func TestGoldenSeedLineage(t *testing.T) {
 	}
 }
 
-// TestGoldenParallelMatches replays every golden case with WithWorkers(4):
-// the parallel path must reproduce the same execution bit for bit.
-func TestGoldenParallelMatches(t *testing.T) {
-	for _, c := range goldenCases {
-		if c.variant != "" {
-			continue
-		}
-		g := goldenGraph(c.graph)
-		p := goldenProcess(c.kind, g, append(goldenOptions(c), WithWorkers(4))...)
-		res := Run(p, 4*DefaultRoundCap(g.N()))
-		if !res.Stabilized || res.Rounds != c.rounds || res.RandomBits != c.bits || goldenBlackHash(p) != c.hash {
-			t.Errorf("%s/%s seed %d init %v workers=4: got (stab=%v rounds=%d bits=%d hash=%#x), want (%d %d %#x)",
-				c.graph, c.kind, c.seed, c.init, res.Stabilized, res.Rounds, res.RandomBits, goldenBlackHash(p),
-				c.rounds, c.bits, c.hash)
-		}
-	}
-}
-
 // Golden per-vertex stabilization-time checksums, captured from the seed
 // simulators with WithLocalTimes on gnp80, seed 11.
 func TestGoldenLocalTimes(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 
 // The kernel-vs-scalar lockstep matrix for the multi-lane rules: the
 // 3-state and 3-color processes auto-select the bit-sliced kernel, and
-// every configuration — workers {1, 2, 8} × frontier/full-rescan ×
+// every configuration — frontier/full-rescan ×
 // sparse/dense/complete — must replay the scalar interface path
 // coin-for-coin, round by round: colors, full states (black0 vs black1,
 // switch levels), active counts, bit accounting, and the final coveredAt
@@ -80,49 +80,46 @@ func TestKernelLockstepMatrix(t *testing.T) {
 			if err := verify.MIS(gc.g, scal.Black); err != nil {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				for _, rescan := range []bool{false, true} {
-					for _, ax := range axes {
-						name := fmt.Sprintf("%s/%s/workers=%d rescan=%v relabel=%v layout=%v",
-							pr.name, gc.name, workers, rescan, ax.relabel, ax.layout)
-						opts := []Option{WithSeed(99), WithLocalTimes(), WithWorkers(workers),
-							WithCounterLayout(ax.layout)}
-						if rescan {
-							opts = append(opts, WithFullRescan())
+			for _, rescan := range []bool{false, true} {
+				for _, ax := range axes {
+					name := fmt.Sprintf("%s/%s/rescan=%v relabel=%v layout=%v",
+						pr.name, gc.name, rescan, ax.relabel, ax.layout)
+					opts := []Option{WithSeed(99), WithLocalTimes(), WithCounterLayout(ax.layout)}
+					if rescan {
+						opts = append(opts, WithFullRescan())
+					}
+					if ax.relabel {
+						opts = append(opts, WithDegreeOrder())
+					}
+					kern := pr.mk(gc.g, opts...)
+					if !kernelEngaged(kern) {
+						t.Fatalf("%s: kernel did not engage", name)
+					}
+					// Round-by-round, against a fresh scalar twin, so a
+					// divergence is pinned to the exact round it appears.
+					twin := pr.mk(gc.g, WithSeed(99), WithLocalTimes(), WithScalarEngine())
+					for !kern.Stabilized() && kern.Round() < cap {
+						kern.Step()
+						twin.Step()
+						if kern.ActiveCount() != twin.ActiveCount() || kern.RandomBits() != twin.RandomBits() {
+							t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
+								name, kern.Round(), kern.ActiveCount(), kern.RandomBits(),
+								twin.ActiveCount(), twin.RandomBits())
 						}
-						if ax.relabel {
-							opts = append(opts, WithDegreeOrder())
-						}
-						kern := pr.mk(gc.g, opts...)
-						if !kernelEngaged(kern) {
-							t.Fatalf("%s: kernel did not engage", name)
-						}
-						// Round-by-round, against a fresh scalar twin, so a
-						// divergence is pinned to the exact round it appears.
-						twin := pr.mk(gc.g, WithSeed(99), WithLocalTimes(), WithScalarEngine())
-						for !kern.Stabilized() && kern.Round() < cap {
-							kern.Step()
-							twin.Step()
-							if kern.ActiveCount() != twin.ActiveCount() || kern.RandomBits() != twin.RandomBits() {
-								t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
-									name, kern.Round(), kern.ActiveCount(), kern.RandomBits(),
-									twin.ActiveCount(), twin.RandomBits())
-							}
-							for u := 0; u < gc.g.N(); u++ {
-								if pr.stateOf(kern, u) != pr.stateOf(twin, u) {
-									t.Fatalf("%s: state of %d diverged at round %d", name, u, kern.Round())
-								}
+						for u := 0; u < gc.g.N(); u++ {
+							if pr.stateOf(kern, u) != pr.stateOf(twin, u) {
+								t.Fatalf("%s: state of %d diverged at round %d", name, u, kern.Round())
 							}
 						}
-						if res := (Result{kern.Round(), kern.Stabilized(), kern.RandomBits()}); res != scalRes {
-							t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)
-						}
-						type timed interface{ StabilizationTimes() []int }
-						kt := kern.(timed).StabilizationTimes()
-						for u, st := range scal.(timed).StabilizationTimes() {
-							if kt[u] != st {
-								t.Fatalf("%s: coveredAt stamp of %d is %d, scalar %d", name, u, kt[u], st)
-							}
+					}
+					if res := (Result{kern.Round(), kern.Stabilized(), kern.RandomBits()}); res != scalRes {
+						t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)
+					}
+					type timed interface{ StabilizationTimes() []int }
+					kt := kern.(timed).StabilizationTimes()
+					for u, st := range scal.(timed).StabilizationTimes() {
+						if kt[u] != st {
+							t.Fatalf("%s: coveredAt stamp of %d is %d, scalar %d", name, u, kt[u], st)
 						}
 					}
 				}

@@ -1,8 +1,7 @@
 package mis
 
 // Option validation: configuration errors must fail loudly at option
-// construction, and every option must act on every process (WithWorkers was
-// historically a 2-state-only silent no-op).
+// construction, and every option must act on every process.
 
 import (
 	"math"
@@ -35,8 +34,8 @@ func TestOptionValidationPanics(t *testing.T) {
 
 func TestOptionBoundaryValuesAccepted(t *testing.T) {
 	g := graph.Path(4)
-	// Workers 0 and 1 select the sequential engine; extreme-but-legal biases
-	// and zeta values construct fine.
+	// Extreme-but-legal worker counts, biases, and zeta values construct
+	// fine.
 	for _, opt := range [][]Option{
 		{WithWorkers(0)}, {WithWorkers(1)},
 		{WithBlackBias(0.001)}, {WithBlackBias(0.999)},
@@ -47,8 +46,9 @@ func TestOptionBoundaryValuesAccepted(t *testing.T) {
 	}
 }
 
-// WithWorkers must act on all three processes and stay bit-identical to the
-// sequential engine for each.
+// WithWorkers is a deprecated no-op on all three processes: a run with it
+// stays round-for-round identical to a run without it, down to the coin
+// accounting.
 func TestWorkersActOnAllProcesses(t *testing.T) {
 	g := graph.Gnp(400, 0.01, xrand.New(55))
 	type mk func(opts ...Option) Process
@@ -58,20 +58,20 @@ func TestWorkersActOnAllProcesses(t *testing.T) {
 		"3-color": func(opts ...Option) Process { return NewThreeColor(g, opts...) },
 	}
 	for name, newProc := range cases {
-		seq := newProc(WithSeed(6))
-		par := newProc(WithSeed(6), WithWorkers(6))
-		for i := 0; i < 3000 && !seq.Stabilized(); i++ {
-			seq.Step()
-			par.Step()
+		plain := newProc(WithSeed(6))
+		opted := newProc(WithSeed(6), WithWorkers(6))
+		for i := 0; i < 3000 && !plain.Stabilized(); i++ {
+			plain.Step()
+			opted.Step()
 			for u := 0; u < g.N(); u++ {
-				if seq.Black(u) != par.Black(u) {
-					t.Fatalf("%s round %d: workers diverged at %d", name, seq.Round(), u)
+				if plain.Black(u) != opted.Black(u) {
+					t.Fatalf("%s round %d: WithWorkers run diverged at %d", name, plain.Round(), u)
 				}
 			}
 		}
-		if !par.Stabilized() || seq.RandomBits() != par.RandomBits() || seq.Round() != par.Round() {
-			t.Fatalf("%s: parallel accounting diverged (stab=%v bits %d/%d rounds %d/%d)",
-				name, par.Stabilized(), seq.RandomBits(), par.RandomBits(), seq.Round(), par.Round())
+		if !opted.Stabilized() || plain.RandomBits() != opted.RandomBits() || plain.Round() != opted.Round() {
+			t.Fatalf("%s: WithWorkers accounting diverged (stab=%v bits %d/%d rounds %d/%d)",
+				name, opted.Stabilized(), plain.RandomBits(), opted.RandomBits(), plain.Round(), opted.Round())
 		}
 	}
 }

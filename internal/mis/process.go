@@ -113,8 +113,6 @@ type options struct {
 	// "local complexity" of the execution); the engine tracks first-cover
 	// stamps either way, so the option only gates exposure.
 	trackLocal bool
-	// workers > 1 enables intra-round parallelism (all processes).
-	workers int
 	// fullRescan disables the engine's frontier worklist refresh — the
 	// pre-engine cost model, kept for differential tests and benchmarks.
 	fullRescan bool
@@ -138,7 +136,6 @@ type options struct {
 func (o options) engine(noopWhenIdle bool, ord *graph.Ordering) engine.Options {
 	return engine.Options{
 		Bias:          o.blackBias,
-		Workers:       o.workers,
 		NoopWhenIdle:  noopWhenIdle,
 		FullRescan:    o.fullRescan,
 		Ctx:           o.ctx,
@@ -253,6 +250,19 @@ func WithRunContext(ctx *engine.RunContext) Option {
 // the typical (local) from the worst (global) stabilization behaviour.
 func WithLocalTimes() Option {
 	return func(o *options) { o.trackLocal = true }
+}
+
+// WithWorkers is accepted for compatibility and has no effect: a process
+// executes its rounds sequentially. Negative k still panics.
+//
+// Deprecated: parallelism comes from running independent seeds and sweep
+// cells concurrently on the batch pool (ssmis.RunSeeds, missweep -workers),
+// not from splitting one round across goroutines.
+func WithWorkers(k int) Option {
+	if k < 0 {
+		panic(fmt.Sprintf("mis: negative worker count %d", k))
+	}
+	return func(*options) {}
 }
 
 func buildOptions(opts []Option) options {

@@ -10,12 +10,12 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// Determinism matrix for the engine's partitioned two-phase refresh: every
-// process × forced uneven frontiers (star: one hub word saturates, leaf
-// words go quiet; caterpillar: churn concentrates on the spine; complete:
-// dirtyAll forces the O(n) full rescan every changing round) × workers ∈
-// {1, 2, 8}. Summaries, per-vertex colors, and the coveredAt stamps behind
-// the local-times instrument must be byte-identical to the sequential run.
+// Determinism matrix for the engine's membership refresh: every process ×
+// forced uneven frontiers (star: one hub word saturates, leaf words go
+// quiet; caterpillar: churn concentrates on the spine; complete: dirtyAll
+// forces the O(n) full rescan every changing round) × frontier/full-rescan.
+// Summaries, per-vertex colors, and the coveredAt stamps behind the
+// local-times instrument must be byte-identical to the frontier run.
 func TestRefreshDeterminismMatrix(t *testing.T) {
 	type proc struct {
 		name string
@@ -35,7 +35,7 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 		{"complete", graph.Complete(256)},
 		// Weight-sorted power-law ids pack >= 64 hubs first, so the counter
 		// plane resolves to the hub/tail split with a whole pure-hub lane
-		// word — the geometry the parallel refresh skips after a delta merge.
+		// word.
 		{"powerlaw", graph.ChungLu(8000, 2.0, 10, xrand.New(42))},
 	}
 	type timed interface{ StabilizationTimes() []int }
@@ -45,36 +45,27 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 			base := pr.mk(gc.g, WithSeed(77), WithLocalTimes())
 			baseRes := Run(base, cap)
 			if !baseRes.Stabilized {
-				t.Fatalf("%s/%s: sequential run did not stabilize", pr.name, gc.name)
+				t.Fatalf("%s/%s: frontier run did not stabilize", pr.name, gc.name)
 			}
 			if err := verify.MIS(gc.g, base.Black); err != nil {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
 			baseTimes := base.(timed).StabilizationTimes()
-			for _, workers := range []int{2, 8} {
-				name := fmt.Sprintf("%s/%s/workers=%d", pr.name, gc.name, workers)
-				p := pr.mk(gc.g, WithSeed(77), WithLocalTimes(), WithWorkers(workers))
-				if res := Run(p, cap); res != baseRes {
-					t.Fatalf("%s: summary %+v, sequential %+v", name, res, baseRes)
-				}
-				for u := 0; u < gc.g.N(); u++ {
-					if p.Black(u) != base.Black(u) {
-						t.Fatalf("%s: color of %d diverged", name, u)
-					}
-				}
-				pts := p.(timed).StabilizationTimes()
-				for u, bt := range baseTimes {
-					if pts[u] != bt {
-						t.Fatalf("%s: coveredAt stamp of %d is %d, sequential %d", name, u, pts[u], bt)
-					}
+			name := fmt.Sprintf("%s/%s/full-rescan", pr.name, gc.name)
+			p := pr.mk(gc.g, WithSeed(77), WithLocalTimes(), WithFullRescan())
+			if res := Run(p, cap); res != baseRes {
+				t.Fatalf("%s: summary %+v, frontier %+v", name, res, baseRes)
+			}
+			for u := 0; u < gc.g.N(); u++ {
+				if p.Black(u) != base.Black(u) {
+					t.Fatalf("%s: color of %d diverged", name, u)
 				}
 			}
-			// The full-rescan path parallelizes over [0, n) the same way;
-			// it must agree with everything above too.
-			p := pr.mk(gc.g, WithSeed(77), WithLocalTimes(), WithWorkers(8), WithFullRescan())
-			if res := Run(p, cap); res != baseRes {
-				t.Fatalf("%s/%s full-rescan workers=8: summary %+v, sequential %+v",
-					pr.name, gc.name, res, baseRes)
+			pts := p.(timed).StabilizationTimes()
+			for u, bt := range baseTimes {
+				if pts[u] != bt {
+					t.Fatalf("%s: coveredAt stamp of %d is %d, frontier %d", name, u, pts[u], bt)
+				}
 			}
 		}
 	}
@@ -82,7 +73,7 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 	// Kernel-vs-scalar and relabel axes. All three processes above execute
 	// on the bit-sliced kernel (auto-selected); here the scalar interface
 	// path in original vertex order is forced as the golden reference and
-	// every kernel configuration — workers {1, 2, 8}, frontier and
+	// every kernel configuration — frontier and
 	// full-rescan, with and without the degree-bucketed locality
 	// relabeling — must reproduce it byte for byte: summaries, colors, and
 	// the coveredAt stamps.
@@ -95,102 +86,69 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 				t.Fatalf("%s/%s: scalar run did not stabilize", pr.name, gc.name)
 			}
 			scalTimes := scal.(timed).StabilizationTimes()
-			for _, workers := range []int{1, 2, 8} {
-				for _, rescan := range []bool{false, true} {
-					for _, relabel := range []bool{false, true} {
-						name := fmt.Sprintf("%s/%s/kernel workers=%d rescan=%v relabel=%v",
-							pr.name, gc.name, workers, rescan, relabel)
-						opts := []Option{WithSeed(77), WithLocalTimes(), WithWorkers(workers)}
-						if rescan {
-							opts = append(opts, WithFullRescan())
+			for _, rescan := range []bool{false, true} {
+				for _, relabel := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/kernel rescan=%v relabel=%v",
+						pr.name, gc.name, rescan, relabel)
+					opts := []Option{WithSeed(77), WithLocalTimes()}
+					if rescan {
+						opts = append(opts, WithFullRescan())
+					}
+					if relabel {
+						opts = append(opts, WithDegreeOrder())
+					} else {
+						opts = append(opts, WithIdentityOrder())
+					}
+					p := pr.mk(gc.g, opts...)
+					if !kernelEngaged(p) {
+						t.Fatalf("%s: kernel did not engage", name)
+					}
+					if res := Run(p, cap); res != scalRes {
+						t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)
+					}
+					for u := 0; u < gc.g.N(); u++ {
+						if p.Black(u) != scal.Black(u) {
+							t.Fatalf("%s: color of %d diverged", name, u)
 						}
-						if relabel {
-							opts = append(opts, WithDegreeOrder())
-						} else {
-							opts = append(opts, WithIdentityOrder())
-						}
-						p := pr.mk(gc.g, opts...)
-						if !kernelEngaged(p) {
-							t.Fatalf("%s: kernel did not engage", name)
-						}
-						if res := Run(p, cap); res != scalRes {
-							t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)
-						}
-						for u := 0; u < gc.g.N(); u++ {
-							if p.Black(u) != scal.Black(u) {
-								t.Fatalf("%s: color of %d diverged", name, u)
-							}
-						}
-						for u, st := range scalTimes {
-							if pt := p.(timed).StabilizationTimes()[u]; pt != st {
-								t.Fatalf("%s: coveredAt stamp of %d is %d, scalar %d", name, u, pt, st)
-							}
+					}
+					for u, st := range scalTimes {
+						if pt := p.(timed).StabilizationTimes()[u]; pt != st {
+							t.Fatalf("%s: coveredAt stamp of %d is %d, scalar %d", name, u, pt, st)
 						}
 					}
 				}
 			}
 			// Counter-layout axis: every forced plane layout — flat, narrow,
-			// width-adaptive lanes, hub/tail split — at workers {1, 2, 8} on
-			// the frontier and full-rescan refresh paths must reproduce the
-			// same scalar golden byte for byte: summaries, colors, coveredAt
-			// stamps. The plane changes where counters are stored, never what
-			// a read returns.
+			// width-adaptive lanes, hub/tail split — on the frontier and
+			// full-rescan refresh paths must reproduce the same scalar golden
+			// byte for byte: summaries, colors, coveredAt stamps. The plane
+			// changes where counters are stored, never what a read returns.
 			for _, layout := range []engine.CounterLayout{engine.LayoutFlat, engine.LayoutNarrow, engine.LayoutSplit} {
-				for _, workers := range []int{1, 2, 8} {
-					for _, rescan := range []bool{false, true} {
-						name := fmt.Sprintf("%s/%s/kernel layout=%v workers=%d rescan=%v",
-							pr.name, gc.name, layout, workers, rescan)
-						opts := []Option{WithSeed(77), WithLocalTimes(), WithWorkers(workers),
-							WithIdentityOrder(), WithCounterLayout(layout)}
-						if rescan {
-							opts = append(opts, WithFullRescan())
+				for _, rescan := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/kernel layout=%v rescan=%v",
+						pr.name, gc.name, layout, rescan)
+					opts := []Option{WithSeed(77), WithLocalTimes(), WithIdentityOrder(), WithCounterLayout(layout)}
+					if rescan {
+						opts = append(opts, WithFullRescan())
+					}
+					p := pr.mk(gc.g, opts...)
+					if info := counterPlaneOf(p); info.Active && info.Layout != layout {
+						t.Fatalf("%s: plane resolved to %v", name, info.Layout)
+					}
+					if res := Run(p, cap); res != scalRes {
+						t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)
+					}
+					for u := 0; u < gc.g.N(); u++ {
+						if p.Black(u) != scal.Black(u) {
+							t.Fatalf("%s: color of %d diverged", name, u)
 						}
-						p := pr.mk(gc.g, opts...)
-						if info := counterPlaneOf(p); info.Active && info.Layout != layout {
-							t.Fatalf("%s: plane resolved to %v", name, info.Layout)
-						}
-						if res := Run(p, cap); res != scalRes {
-							t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)
-						}
-						for u := 0; u < gc.g.N(); u++ {
-							if p.Black(u) != scal.Black(u) {
-								t.Fatalf("%s: color of %d diverged", name, u)
-							}
-						}
-						for u, st := range scalTimes {
-							if pt := p.(timed).StabilizationTimes()[u]; pt != st {
-								t.Fatalf("%s: coveredAt stamp of %d is %d, scalar %d", name, u, pt, st)
-							}
+					}
+					for u, st := range scalTimes {
+						if pt := p.(timed).StabilizationTimes()[u]; pt != st {
+							t.Fatalf("%s: coveredAt stamp of %d is %d, scalar %d", name, u, pt, st)
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-// The refresh-heavy worst case: on a complete graph every changing round
-// sets dirtyAll and the refresh rescans all n vertices — exactly the O(n)
-// phase the partitioned refresh parallelizes. workers=8 must reproduce the
-// sequential execution on all three processes; CI runs this test under
-// -race by name.
-func TestParallelRefreshCompleteGraphWorkers8(t *testing.T) {
-	g := graph.Complete(400)
-	mks := []func(g *graph.Graph, opts ...Option) Process{
-		func(g *graph.Graph, opts ...Option) Process { return NewTwoState(g, opts...) },
-		func(g *graph.Graph, opts ...Option) Process { return NewThreeState(g, opts...) },
-		func(g *graph.Graph, opts ...Option) Process { return NewThreeColor(g, opts...) },
-	}
-	for i, mk := range mks {
-		for seed := uint64(0); seed < 3; seed++ {
-			cap := 4 * DefaultRoundCap(g.N())
-			seq := Run(mk(g, WithSeed(seed)), cap)
-			par := Run(mk(g, WithSeed(seed), WithWorkers(8)), cap)
-			if seq != par {
-				t.Fatalf("proc %d seed %d: parallel %+v vs sequential %+v", i, seed, par, seq)
-			}
-			if !seq.Stabilized {
-				t.Fatalf("proc %d seed %d: did not stabilize", i, seed)
 			}
 		}
 	}

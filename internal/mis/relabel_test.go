@@ -68,9 +68,9 @@ func relabelProcs() []relabelProc {
 // one, and every public surface is keyed by original ids — so a relabeled
 // process and an identity process on the same seed must agree EXACTLY,
 // round by round: summaries, per-vertex states/colors/levels, random-bit
-// accounting, and the coveredAt stamps. 3 rules × frontier/full-rescan ×
-// workers {1, 8}, forced via WithDegreeOrder on graphs small enough that
-// the auto policy would stay identity.
+// accounting, and the coveredAt stamps. 3 rules × frontier/full-rescan,
+// forced via WithDegreeOrder on graphs small enough that the auto policy
+// would stay identity.
 func TestRelabelEquivalenceMatrix(t *testing.T) {
 	// graph.Star itself keeps the identity order (hub already at id 0), so
 	// the star here puts its hub at the HIGHEST id to force a real move.
@@ -102,42 +102,40 @@ func TestRelabelEquivalenceMatrix(t *testing.T) {
 				t.Fatalf("%s/%s: %v", pr.name, gc.name, err)
 			}
 			identTimes := ident.(timed).StabilizationTimes()
-			for _, workers := range []int{1, 8} {
-				for _, rescan := range []bool{false, true} {
-					name := fmt.Sprintf("%s/%s/workers=%d rescan=%v", pr.name, gc.name, workers, rescan)
-					opts := []Option{WithSeed(42), WithLocalTimes(), WithWorkers(workers), WithDegreeOrder()}
-					if rescan {
-						opts = append(opts, WithFullRescan())
+			for _, rescan := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/rescan=%v", pr.name, gc.name, rescan)
+				opts := []Option{WithSeed(42), WithLocalTimes(), WithDegreeOrder()}
+				if rescan {
+					opts = append(opts, WithFullRescan())
+				}
+				rel := pr.mk(gc.g, opts...)
+				if !relabelEngaged(rel) {
+					t.Fatalf("%s: relabeling did not engage", name)
+				}
+				// Round-by-round against a fresh identity twin so a
+				// divergence is pinned to the round it appears.
+				twin := pr.mk(gc.g, WithSeed(42), WithLocalTimes(), WithIdentityOrder())
+				for !rel.Stabilized() && rel.Round() < cap {
+					rel.Step()
+					twin.Step()
+					if rel.ActiveCount() != twin.ActiveCount() || rel.RandomBits() != twin.RandomBits() {
+						t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
+							name, rel.Round(), rel.ActiveCount(), rel.RandomBits(),
+							twin.ActiveCount(), twin.RandomBits())
 					}
-					rel := pr.mk(gc.g, opts...)
-					if !relabelEngaged(rel) {
-						t.Fatalf("%s: relabeling did not engage", name)
-					}
-					// Round-by-round against a fresh identity twin so a
-					// divergence is pinned to the round it appears.
-					twin := pr.mk(gc.g, WithSeed(42), WithLocalTimes(), WithIdentityOrder())
-					for !rel.Stabilized() && rel.Round() < cap {
-						rel.Step()
-						twin.Step()
-						if rel.ActiveCount() != twin.ActiveCount() || rel.RandomBits() != twin.RandomBits() {
-							t.Fatalf("%s: round %d active/bits diverged (%d,%d) vs (%d,%d)",
-								name, rel.Round(), rel.ActiveCount(), rel.RandomBits(),
-								twin.ActiveCount(), twin.RandomBits())
-						}
-						for u := 0; u < gc.g.N(); u++ {
-							if pr.stateOf(rel, u) != pr.stateOf(twin, u) {
-								t.Fatalf("%s: state of %d diverged at round %d", name, u, rel.Round())
-							}
+					for u := 0; u < gc.g.N(); u++ {
+						if pr.stateOf(rel, u) != pr.stateOf(twin, u) {
+							t.Fatalf("%s: state of %d diverged at round %d", name, u, rel.Round())
 						}
 					}
-					if res := (Result{rel.Round(), rel.Stabilized(), rel.RandomBits()}); res != identRes {
-						t.Fatalf("%s: summary %+v, identity %+v", name, res, identRes)
-					}
-					rt := rel.(timed).StabilizationTimes()
-					for u, st := range identTimes {
-						if rt[u] != st {
-							t.Fatalf("%s: coveredAt stamp of %d is %d, identity %d", name, u, rt[u], st)
-						}
+				}
+				if res := (Result{rel.Round(), rel.Stabilized(), rel.RandomBits()}); res != identRes {
+					t.Fatalf("%s: summary %+v, identity %+v", name, res, identRes)
+				}
+				rt := rel.(timed).StabilizationTimes()
+				for u, st := range identTimes {
+					if rt[u] != st {
+						t.Fatalf("%s: coveredAt stamp of %d is %d, identity %d", name, u, rt[u], st)
 					}
 				}
 			}

@@ -110,9 +110,12 @@ func WithBlackBias(p float64) Option { return mis.WithBlackBias(p) }
 // through each process's StabilizationTimes method (see experiment E14).
 func WithLocalTimes() Option { return mis.WithLocalTimes() }
 
-// WithWorkers enables intra-round parallelism with k goroutines for all
-// three processes; execution remains bit-identical to the sequential
-// engine. Negative k panics.
+// WithWorkers is accepted for compatibility and has no effect: a process
+// executes its rounds sequentially. Negative k still panics.
+//
+// Deprecated: parallelism comes from running independent seeds and sweep
+// cells concurrently on the batch pool (RunSeeds, missweep -workers), not
+// from splitting one round across goroutines.
 func WithWorkers(k int) Option { return mis.WithWorkers(k) }
 
 // WithScalarEngine opts a process out of the engine's bit-sliced kernel

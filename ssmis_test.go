@@ -2,6 +2,7 @@ package ssmis_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"ssmis"
@@ -177,13 +178,31 @@ func TestPublicAPIChurnAndRebind(t *testing.T) {
 	}
 }
 
+// The deprecated WithWorkers option changes nothing: on all three processes
+// a run with WithWorkers(8) is byte-identical to a run without it, and a
+// negative count still panics.
 func TestPublicAPIParallelWorkers(t *testing.T) {
 	g := ssmis.GnpAvgDegree(400, 8, 17)
-	seq := ssmis.Run(ssmis.NewTwoState(g, ssmis.WithSeed(3)), 0)
-	par := ssmis.Run(ssmis.NewTwoState(g, ssmis.WithSeed(3), ssmis.WithWorkers(8)), 0)
-	if seq != par {
-		t.Fatalf("parallel result differs: %+v vs %+v", seq, par)
+	procs := map[string]func(opts ...ssmis.Option) ssmis.Process{
+		"2-state": func(opts ...ssmis.Option) ssmis.Process { return ssmis.NewTwoState(g, opts...) },
+		"3-state": func(opts ...ssmis.Option) ssmis.Process { return ssmis.NewThreeState(g, opts...) },
+		"3-color": func(opts ...ssmis.Option) ssmis.Process { return ssmis.NewThreeColor(g, opts...) },
 	}
+	for name, mk := range procs {
+		plain, opted := mk(ssmis.WithSeed(3)), mk(ssmis.WithSeed(3), ssmis.WithWorkers(8))
+		if a, b := ssmis.Run(plain, 0), ssmis.Run(opted, 0); a != b {
+			t.Fatalf("%s: WithWorkers(8) run %+v, plain run %+v", name, b, a)
+		}
+		if !slices.Equal(ssmis.BlackSet(plain), ssmis.BlackSet(opted)) {
+			t.Fatalf("%s: WithWorkers(8) changed the final black set", name)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("WithWorkers(-1) did not panic")
+		}
+	}()
+	ssmis.WithWorkers(-1)
 }
 
 func TestPublicAPIChungLu(t *testing.T) {
