@@ -145,7 +145,7 @@ func benchEngine(b *testing.B, g *ssmis.Graph, opts ...ssmis.Option) {
 }
 
 // benchEngineProc is benchEngine generalized over the process constructor,
-// for the 3-state and 3-color kernel rows.
+// for the 3-state and 3-color rows.
 func benchEngineProc(b *testing.B, g *ssmis.Graph,
 	mk func(g *ssmis.Graph, opts ...ssmis.Option) ssmis.Process, opts ...ssmis.Option) {
 	b.Helper()
@@ -265,16 +265,9 @@ func BenchmarkEngineKernel3StateGnp1M(b *testing.B) {
 
 func BenchmarkEngineScalar3ColorGnp100k(b *testing.B) {
 	// 3-color runs at n=10^5: the O(log^2 n)-period phase clock drives
-	// ~1200 rounds per run at this size, so the 1M instance costs minutes.
+	// ~1200 rounds per run at this size. The rule has no kernel, so this
+	// scalar row is its only path (WithScalarEngine changes nothing).
 	benchEngineProc(b, ssmis.GnpAvgDegree(100000, 10, 7), mk3Color, ssmis.WithScalarEngine())
-}
-
-func BenchmarkEngineKernel3ColorGnp100k(b *testing.B) {
-	// The gate-lane kernel path: the phase-clock switch re-exported after
-	// every mid-round, gray→white gated per-vertex. The scalar clock
-	// sub-process runs on both paths, so the kernel's edge is diluted
-	// relative to the 2-/3-state rows.
-	benchEngineProc(b, ssmis.GnpAvgDegree(100000, 10, 7), mk3Color)
 }
 
 func BenchmarkBeepingRuntime1k(b *testing.B) {

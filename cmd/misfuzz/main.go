@@ -133,19 +133,19 @@ func fuzzTwoState(g *graph.Graph, seed uint64) string {
 }
 
 // fuzzKernel differentially fuzzes the engine's bit-sliced kernel against
-// the scalar interface path (the golden reference) for all three rules —
-// 2-state, 3-state, and 3-color: same graph, same seed, randomly frontier
-// or full-rescan, compared state-for-state (full states: black0 vs black1,
-// colors AND switch levels) every round with exact random-bit accounting at
+// the scalar interface path (the golden reference) for the two rules that
+// have a kernel — 2-state and 3-state (3-color runs on the scalar path
+// only; fuzzThreeColor checks it against its oracle): same graph, same
+// seed, randomly frontier or full-rescan, compared state-for-state (full
+// states: black0 vs black1) every round with exact random-bit accounting at
 // stabilization.
 func fuzzKernel(g *graph.Graph, seed uint64) string {
 	r := xrand.New(seed ^ 0x9e3779b97f4a7c15)
 	variants := []struct {
-		name    string
-		mk      func(opts ...mis.Option) mis.Process
-		stateOf func(p mis.Process, u int) int
-		// limitMul scales the round cap (the 3-color switch needs slack).
-		limitMul int
+		name     string
+		mk       func(opts ...mis.Option) mis.Process
+		stateOf  func(p mis.Process, u int) int
+		limitMul int // scales the round cap
 	}{
 		{
 			"2-state",
@@ -163,15 +163,6 @@ func fuzzKernel(g *graph.Graph, seed uint64) string {
 			func(opts ...mis.Option) mis.Process { return mis.NewThreeState(g, opts...) },
 			func(p mis.Process, u int) int { return int(p.(*mis.ThreeState).State(u)) },
 			4,
-		},
-		{
-			"3-color",
-			func(opts ...mis.Option) mis.Process { return mis.NewThreeColor(g, opts...) },
-			func(p mis.Process, u int) int {
-				tc := p.(*mis.ThreeColor)
-				return int(tc.ColorOf(u))<<8 | int(tc.SwitchLevel(u))
-			},
-			8,
 		},
 	}
 	for _, v := range variants {

@@ -68,8 +68,8 @@
 // so a warm worker's rounds allocate nothing and its runs amortize their
 // allocations across thousands of seeds.
 //
-// Layer 1a — the bit-sliced kernel (internal/engine/kernel). All three
-// rules drop to a word-parallel execution path processing 64 vertices per
+// Layer 1a — the bit-sliced kernel (internal/engine/kernel). The 2-state
+// and 3-state rules drop to a word-parallel execution path processing 64 vertices per
 // uint64. A rule describes itself as a compact kernel.Spec — a two-bit
 // state encoding plus 16-entry truth tables for the activity and worklist
 // predicates over (lo, hi, hasANbr, hasBNbr), plus per-code transition maps
@@ -83,7 +83,6 @@
 //	rule     code 0  code 1  code 2  code 3   extra lanes
 //	2-state  white   black   —       —        —
 //	3-state  white   black0  —       black1   hasBNbr (black1 neighbors)
-//	3-color  white   black   gray    —        gate (switch values)
 //
 // so core = lo AND NOT hbnA and the class totals are rule-generic word
 // loops. The hasANbr/hasBNbr lanes are maintained incrementally by the
@@ -93,27 +92,29 @@
 // fill from the class totals in O(n/64) words. The dirty frontier itself is tracked per lane word, not
 // per vertex — the refresh re-derives whole words anyway, and the
 // word-index set is 64x smaller (2KB at n=10^6), so the commit's random
-// neighbor marking stays cache-resident. A rule with a mid-round
-// sub-process participates through the gate lane (engine.KernelGate): after
-// every MidRound — and at Rebuild — the engine asks the rule to re-export
-// one bit per vertex (the 3-color rule packs its phase-clock switch values,
-// σ_{t-1} by construction), and evaluation routes non-active worklist
-// vertices through the spec's ForcedOn/ForcedOff transition selected by
-// their gate bit. The gate affects only forced outcomes, never membership,
-// so the frontier logic is untouched. Determinism: evaluation walks set
+// neighbor marking stays cache-resident. The 3-color rule has no kernel:
+// its per-round cost is its phase clock (internal/phaseclock), which is
+// event-driven — a step evaluates only the vertices at the top level and
+// the neighborhoods of the previous step's level changes, a few percent of
+// the graph, instead of every closed neighborhood — and its remaining
+// per-round work is the scalar gray/white evaluation, which a bit-sliced
+// gate lane measured slower than (0.92x on G(10^5, avg degree 10)), so
+// 3-color runs on the scalar path only. Determinism: evaluation walks set
 // bits of each worklist word in ascending vertex order and draws a coin —
 // one bit at bias 1/2, a 64-bit Bernoulli sample otherwise — from the
 // vertex's own stream only when the vertex is active (forced transitions
 // draw nothing), which is exactly the scalar loop's order and accounting,
 // so a kernel execution is coin-for-coin bit-identical to the scalar engine
 // (and hence to every runtime above). The kernel engages automatically when
-// the rule implements engine.KernelRule (all three mis processes do; the
-// registration validates the compiled program against the rule's own
-// predicates and class/black projections), and WithScalarEngine forces the
-// interface path — the golden reference the determinism matrix, the
-// kernel-lockstep matrix, the misfuzz differential target, and the CI speed
-// gate (BENCH_kernel.json, >= 1.2x for both the 2-state and 3-state pairs at n=10^6)
-// pin the kernels against.
+// the rule implements engine.KernelRule and runs no mid-round sub-process
+// (the 2-state and 3-state processes; the registration validates the
+// compiled program against the rule's own predicates and class/black
+// projections), and WithScalarEngine forces the interface path — the
+// golden reference the determinism matrix, the kernel-lockstep matrix, the
+// misfuzz differential target, and the CI speed gate (BENCH_kernel.json,
+// >= 1.2x for both the 2-state and 3-state pairs at n=10^6) pin the
+// kernels against. The same gate holds the event-driven phase clock at
+// >= 5x over the full-sweep clock rule.
 //
 // Layer 1a' — the locality relabeling (graph.DegreeBucketOrder). On
 // heavy-tailed graphs the kernel's hottest remaining loop is the commit

@@ -170,8 +170,7 @@ type Core struct {
 	stateCnt []int // population per state value
 
 	// bit-sliced kernel path (kernelpath.go); nil on the scalar path
-	kern  *kernel.Lanes
-	kGate KernelGate // mid-round gate export (3-color switch); nil otherwise
+	kern *kernel.Lanes
 
 	work      *bitset.Set // touched vertices (this round's worklist)
 	workCnt   int
@@ -409,7 +408,6 @@ func (e *Core) Step() {
 	}
 	if mr, ok := e.rule.(MidRound); ok {
 		mr.MidRound()
-		e.exportGate()
 	}
 	e.commit(e.changes)
 	e.round++
@@ -567,16 +565,14 @@ func (e *Core) Rebuild() {
 		e.coveredAt[i] = -1
 	}
 	if e.kern != nil {
-		// Bulk-load the lanes from the rebuilt state and counters (and the
-		// gate from the rule's sub-process), then derive every membership a
-		// word at a time.
+		// Bulk-load the lanes from the rebuilt state and counters, then
+		// derive every membership a word at a time.
 		e.kern.LoadState(e.state)
 		if e.complete {
 			e.kern.FillHBNComplete(e.totalA, e.totalB)
 		} else {
 			e.settleHBNWords(0, e.kern.Words())
 		}
-		e.exportGate()
 		words := e.kern.Words()
 		for wi := 0; wi < words; wi++ {
 			e.refreshKernelWord(wi)

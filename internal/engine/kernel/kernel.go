@@ -1,9 +1,8 @@
 // Package kernel is the bit-sliced execution path for the paper's MIS rules.
 // A rule's entire per-vertex truth is at most four bits — a 2-bit state code
 // (lo/hi lanes), "counter A nonzero" (hasANbr), and "counter B nonzero"
-// (hasBNbr) — plus, for switch-gated rules, one externally exported gate bit.
-// Instead of asking an interface per vertex, the kernel packs each bit into
-// []uint64 lanes and evaluates 64 vertices per machine word:
+// (hasBNbr). Instead of asking an interface per vertex, the kernel packs
+// each bit into []uint64 lanes and evaluates 64 vertices per machine word:
 //
 //   - activity, quiescence checks, and membership refresh are branch-free
 //     word operations compiled at registration from the rule's truth tables
@@ -16,18 +15,16 @@
 // Determinism contract: coins are drawn in ascending vertex order, one per
 // active vertex, from exactly the per-vertex stream the scalar engine would
 // use, consuming exactly the same number of bits (one per coin at bias 1/2,
-// one 64-bit Bernoulli sample otherwise). Forced transitions (3-state
-// demotion, switch-gated gray→white) draw nothing, matching the scalar
-// rules. Because every vertex owns its stream, the execution is coin-for-
-// coin bit-identical to the scalar engine's — summaries, colors, coverage
-// stamps, and RNG bit counts all agree, which is what the determinism-matrix
-// and misfuzz differential harnesses pin with the scalar engine as golden.
+// one 64-bit Bernoulli sample otherwise). Forced transitions (the 3-state
+// demotion) draw nothing, matching the scalar rules. Because every vertex
+// owns its stream, the execution is coin-for-coin bit-identical to the
+// scalar engine's — summaries, colors, coverage stamps, and RNG bit counts
+// all agree, which is what the determinism-matrix and misfuzz differential
+// harnesses pin with the scalar engine as golden.
 //
 // The neighbor lanes are not recomputed from scratch each round: the engine
 // maintains them incrementally from its counters at commit time — a bit
-// flips only when the counter crosses zero (see engine/kernelpath.go). The
-// gate lane is re-exported wholesale after each mid-round sub-process step
-// (engine.KernelGate).
+// flips only when the counter crosses zero (see engine/kernelpath.go).
 package kernel
 
 import (
@@ -56,7 +53,6 @@ type Lanes struct {
 	hi   []uint64 // state code bit 1 (empty unless prog.UseHi)
 	hbnA []uint64 // bit u ⟺ counter A of u nonzero (has a black neighbor)
 	hbnB []uint64 // bit u ⟺ counter B of u nonzero (empty unless prog.UseB)
-	gate []uint64 // mid-round gate bits (empty unless prog.UseGate)
 	n    int
 	tail uint64 // mask of live bits in the final word
 }
@@ -106,11 +102,6 @@ func (l *Lanes) Configure(prog *Program, n int) {
 		l.hbnB = growLane(l.hbnB, words)
 	} else {
 		l.hbnB = l.hbnB[:0]
-	}
-	if prog.spec.UseGate {
-		l.gate = growLane(l.gate, words)
-	} else {
-		l.gate = l.gate[:0]
 	}
 	l.prog = prog
 	l.n = n
@@ -170,9 +161,6 @@ func (l *Lanes) HasANbr(u int) bool { return laneBit(l.hbnA, u) == 1 }
 // when the lane is not engaged).
 func (l *Lanes) HasBNbr(u int) bool { return laneBit(l.hbnB, u) == 1 }
 
-// GateBit reports the gate bit of vertex u (false when not engaged).
-func (l *Lanes) GateBit(u int) bool { return laneBit(l.gate, u) == 1 }
-
 // setBit writes bit u of a lane.
 func setBit(lane []uint64, u int, v bool) {
 	bit := uint64(1) << (uint(u) % wordBits)
@@ -220,16 +208,6 @@ func (l *Lanes) HBNWords() (hbnA, hbnB []uint64) { return l.hbnA, l.hbnB }
 // caveats as HBNWords apply, plus: only codes the program declares may be
 // written (Program.CodeOf is the guard).
 func (l *Lanes) StateWords() (lo, hi []uint64) { return l.lo, l.hi }
-
-// GateWords exposes the gate lane for the rule's mid-round export
-// (engine.KernelGate.ExportGate fills it wholesale). Bits beyond the
-// universe must stay zero; nil when the lane is not engaged.
-func (l *Lanes) GateWords() []uint64 {
-	if !l.prog.spec.UseGate {
-		return nil
-	}
-	return l.gate
-}
 
 // LoadState packs the state-code lanes from a per-vertex state vector.
 // Rebuild-time bulk load; panics on a state outside the encoding.
@@ -376,8 +354,8 @@ func (l *Lanes) BlackWord(wi int) uint64 { return l.lo[wi] }
 // EvalWords evaluates one synchronous round over every lane word: each
 // touched vertex, in ascending vertex order, either draws a coin from
 // its own stream (active: next code from the CoinHi/CoinLo maps) or takes
-// its forced transition (ForcedOn/ForcedOff by its gate bit, no coin), and
-// the vertices whose state changes are appended to dst as pending changes.
+// its forced transition (Forced, no coin), and the vertices whose state
+// changes are appended to dst as pending changes.
 // Nothing is committed — the lanes stay frozen at the pre-round state.
 // It returns the extended change list and the number of random bits drawn,
 // matching the scalar engine's accounting exactly: one bit per coin at bias
@@ -402,10 +380,6 @@ func (l *Lanes) EvalWords(rngs []*xrand.Rand, bias float64, dst []Change) ([]Cha
 		if !p.sameTA {
 			actw = p.active(low, hiw, aw, bw) & m
 		}
-		var gw uint64
-		if p.spec.UseGate {
-			gw = l.gate[wi]
-		}
 		base := wi * wordBits
 		for w := tw; w != 0; w &= w - 1 {
 			tz := uint(bits.TrailingZeros64(w))
@@ -426,10 +400,8 @@ func (l *Lanes) EvalWords(rngs []*xrand.Rand, bias float64, dst []Change) ([]Cha
 				} else {
 					nc = p.spec.CoinLo[code]
 				}
-			} else if gw&bit != 0 {
-				nc = p.spec.ForcedOn[code]
 			} else {
-				nc = p.spec.ForcedOff[code]
+				nc = p.spec.Forced[code]
 			}
 			if nc != uint8(code) {
 				dst = append(dst, Change{U: int32(base + int(tz)), S: p.spec.StateOf[nc]})

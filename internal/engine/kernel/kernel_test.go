@@ -7,8 +7,9 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// Local mirrors of the three paper rules' lane programs, restated here so
-// the kernel package tests do not depend on internal/mis.
+// Local mirrors of the paper rules' lane programs, restated here so the
+// kernel package tests do not depend on internal/mis, plus one three-code
+// shape that only the generic evaluator runs.
 var (
 	// 2-state: white=1, black=2, the canonical XOR-flip shape.
 	twoProg = MustCompile(Spec{
@@ -32,16 +33,17 @@ var (
 				return !a
 			}
 		}),
-		Touched:   TruthTable(func(code int, a, _ bool) bool { return code&1 == 1 || !a }),
-		CoinHi:    [4]uint8{3, 3, 3, 3},
-		CoinLo:    [4]uint8{1, 1, 1, 1},
-		ForcedOn:  [4]uint8{0, 0, 0, 0},
-		ForcedOff: [4]uint8{0, 0, 0, 0},
+		Touched: TruthTable(func(code int, a, _ bool) bool { return code&1 == 1 || !a }),
+		CoinHi:  [4]uint8{3, 3, 3, 3},
+		CoinLo:  [4]uint8{1, 1, 1, 1},
+		Forced:  [4]uint8{0, 0, 0, 0},
 	})
-	// 3-color: white=1, black=2, gray=3 (code 2), gate-driven gray→white.
-	colProg = MustCompile(Spec{
+	// A three-code shape: white=1, black=2, gray=3 (code 2); an active black
+	// retreats to gray on coin 0 and a gray vertex always drains to white.
+	// Its coin targets depend on the code, so neither specialized evaluator
+	// applies and EvalWords runs its generic loop.
+	mixProg = MustCompile(Spec{
 		StateOf: [4]uint8{1, 2, 3, 0},
-		UseGate: true,
 		Active: TruthTable(func(code int, a, _ bool) bool {
 			switch code {
 			case 1:
@@ -64,15 +66,14 @@ var (
 				return false
 			}
 		}),
-		CoinHi:    [4]uint8{1, 1, 0, 0},
-		CoinLo:    [4]uint8{0, 2, 0, 0},
-		ForcedOn:  [4]uint8{0, 0, 0, 0},
-		ForcedOff: [4]uint8{0, 0, 2, 0},
+		CoinHi: [4]uint8{1, 1, 0, 0},
+		CoinLo: [4]uint8{0, 2, 0, 0},
+		Forced: [4]uint8{0, 0, 0, 0},
 	})
 	allProgs = []struct {
 		name string
 		prog *Program
-	}{{"2-state", twoProg}, {"3-state", triProg}, {"3-color", colProg}}
+	}{{"2-state", twoProg}, {"3-state", triProg}, {"mixed", mixProg}}
 )
 
 // usedStates returns the program's rule state values.
@@ -86,7 +87,7 @@ func usedStates(p *Program) []uint8 {
 	return out
 }
 
-// randomLanes builds lanes for prog plus the per-vertex state/counter/gate
+// randomLanes builds lanes for prog plus the per-vertex state/counter
 // vectors they were packed from.
 func randomLanes(prog *Program, n int, rng *xrand.Rand) (*Lanes, []uint8, []int32, []int32) {
 	states := usedStates(prog)
@@ -105,14 +106,6 @@ func randomLanes(prog *Program, n int, rng *xrand.Rand) (*Lanes, []uint8, []int3
 	l := New(prog, n)
 	l.LoadState(state)
 	l.LoadCounters(nbrA, nbrB)
-	if prog.UseGate() {
-		gw := l.GateWords()
-		for u := 0; u < n; u++ {
-			if rng.Bit() {
-				gw[u/64] |= 1 << (uint(u) % 64)
-			}
-		}
-	}
 	return l, state, nbrA, nbrB
 }
 
@@ -284,7 +277,7 @@ func TestIncrementalHBNMatchesBulk(t *testing.T) {
 
 // scalarEval replays the scalar engine's evaluation loop straight off the
 // spec: every touched vertex, ascending, draws a coin if active (next code
-// from the coin maps) or takes its gate-selected forced transition.
+// from the coin maps) or takes its forced transition.
 // EvalWords must produce the same changes from the same streams with the
 // same bit accounting — for every rule shape, fast path and generic alike.
 func scalarEval(l *Lanes, rngs []*xrand.Rand, bias float64) ([]Change, int64) {
@@ -312,10 +305,8 @@ func scalarEval(l *Lanes, rngs []*xrand.Rand, bias float64) ([]Change, int64) {
 			} else {
 				nc = p.spec.CoinLo[code]
 			}
-		} else if l.GateBit(u) {
-			nc = p.spec.ForcedOn[code]
 		} else {
-			nc = p.spec.ForcedOff[code]
+			nc = p.spec.Forced[code]
 		}
 		if nc != code {
 			changes = append(changes, Change{U: int32(u), S: p.spec.StateOf[nc]})
@@ -364,8 +355,11 @@ func TestFastPathDetection(t *testing.T) {
 	if !twoProg.fast2 {
 		t.Fatal("2-state program did not detect the flip fast path")
 	}
-	if triProg.fast2 || colProg.fast2 {
+	if triProg.fast2 || mixProg.fast2 {
 		t.Fatal("multi-lane program claimed the flip fast path")
+	}
+	if !triProg.coinConst || mixProg.coinConst {
+		t.Fatal("coin-constant detection wrong: the 3-state shape qualifies, the mixed shape does not")
 	}
 }
 
@@ -387,13 +381,10 @@ func TestConfigureRuleSwitchClearsLanes(t *testing.T) {
 		for wi := range l.hbnB {
 			l.hbnB[wi] = ^uint64(0)
 		}
-		for wi := range l.gate {
-			l.gate[wi] = ^uint64(0)
-		}
 	}
 	checkZero := func(step string) {
 		t.Helper()
-		for _, lane := range [][]uint64{l.lo, l.hi, l.hbnA, l.hbnB, l.gate} {
+		for _, lane := range [][]uint64{l.lo, l.hi, l.hbnA, l.hbnB} {
 			for wi, w := range lane {
 				if w != 0 {
 					t.Fatalf("%s: stale lane word %d = %#x survived Configure", step, wi, w)
@@ -406,7 +397,7 @@ func TestConfigureRuleSwitchClearsLanes(t *testing.T) {
 	if l.Words() != 2 || l.N() != 100 {
 		t.Fatalf("reshaped to %d words / n=%d", l.Words(), l.N())
 	}
-	if len(l.hi) != 0 || len(l.hbnB) != 0 || len(l.gate) != 0 {
+	if len(l.hi) != 0 || len(l.hbnB) != 0 {
 		t.Fatal("2-state program left multi-lane state engaged")
 	}
 	checkZero("tri→two")
@@ -422,11 +413,11 @@ func TestConfigureRuleSwitchClearsLanes(t *testing.T) {
 	checkZero("two→tri")
 
 	dirtyAll()
-	l.Configure(colProg, 90)
-	if len(l.gate) != l.Words() || len(l.hi) != l.Words() || len(l.hbnB) != 0 {
-		t.Fatal("3-color program lane engagement wrong")
+	l.Configure(mixProg, 90)
+	if len(l.hi) != l.Words() || len(l.hbnB) != 0 {
+		t.Fatal("mixed program lane engagement wrong")
 	}
-	checkZero("tri→col")
+	checkZero("tri→mixed")
 
 	if popTotal(l) != 0 {
 		t.Fatal("stale population")
@@ -435,7 +426,7 @@ func TestConfigureRuleSwitchClearsLanes(t *testing.T) {
 
 func popTotal(l *Lanes) int {
 	c := 0
-	for _, lane := range [][]uint64{l.lo, l.hi, l.hbnA, l.hbnB, l.gate} {
+	for _, lane := range [][]uint64{l.lo, l.hi, l.hbnA, l.hbnB} {
 		for _, w := range lane {
 			c += bits.OnesCount64(w)
 		}
@@ -459,12 +450,11 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 			s.Touched = s.Active
 		}},
 		{"coin target unused", func(s *Spec) { s.CoinHi = [4]uint8{2, 2, 0, 0} }},
-		{"gated forced without UseGate", func(s *Spec) {
-			// Make code 0 forced-reachable (touched ⊃ active) with
-			// disagreeing gate outcomes.
+		{"forced target unused", func(s *Spec) {
+			// Make code 0 forced-reachable (touched ⊃ active) and send it
+			// to an unused code.
 			s.Touched = TruthTable(func(int, bool, bool) bool { return true })
-			s.ForcedOn = [4]uint8{1, 1, 0, 0}
-			s.ForcedOff = [4]uint8{0, 0, 0, 0}
+			s.Forced = [4]uint8{2, 0, 0, 0}
 		}},
 	}
 	for _, tc := range cases {

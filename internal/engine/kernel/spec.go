@@ -31,10 +31,8 @@ package kernel
 //	active (coin-drawing): next code is CoinHi[code] on coin 1, CoinLo[code]
 //	on coin 0 — the paper's rules never branch a coin outcome on a counter.
 //
-//	touched but not active (forced): next code is ForcedOn[code] /
-//	ForcedOff[code] by the vertex's gate bit — the per-round side input a
-//	mid-round sub-process exports (the 3-color switch value σ_{t-1}). Rules
-//	without a gate lane must make both maps agree.
+//	touched but not active (forced): next code is Forced[code], with no
+//	coin (the 3-state black0→white demotion).
 
 import "fmt"
 
@@ -49,20 +47,14 @@ type Spec struct {
 	// maintained incrementally like hasANbr. Requires code 3 in use (ClassB
 	// states are exactly lo∧hi).
 	UseB bool
-	// UseGate engages the per-vertex gate lane, re-exported every round by
-	// the rule's mid-round sub-process (engine.KernelGate). Only forced
-	// transitions may consult it.
-	UseGate bool
 	// Active and Touched are 16-entry truth tables over idx = lo | hi<<1 |
 	// a<<2 | b<<3 (build them with TruthTable). Touched must contain Active.
 	Active, Touched uint16
 	// CoinHi and CoinLo map an active vertex's code to its next code on coin
 	// outcome 1 / 0.
 	CoinHi, CoinLo [4]uint8
-	// ForcedOn and ForcedOff map a touched-but-not-active vertex's code to
-	// its next code when its gate bit is 1 / 0. Without a gate lane the maps
-	// must agree wherever a forced transition can fire.
-	ForcedOn, ForcedOff [4]uint8
+	// Forced maps a touched-but-not-active vertex's code to its next code.
+	Forced [4]uint8
 }
 
 // TruthTable builds a Spec predicate table from a closure over (code, a, b).
@@ -130,9 +122,6 @@ func (p *Program) UseHi() bool { return p.useHi }
 
 // UseB reports whether the hasBNbr lane is engaged.
 func (p *Program) UseB() bool { return p.spec.UseB }
-
-// UseGate reports whether the gate lane is engaged.
-func (p *Program) UseGate() bool { return p.spec.UseGate }
 
 // TouchedIsActive reports Touched ≡ Active (the worklist and the active set
 // coincide, as for the 2-state rule).
@@ -250,13 +239,8 @@ func Compile(spec Spec) (*Program, error) {
 			}
 		}
 		if spec.canBeForced(c) {
-			for _, nc := range []uint8{spec.ForcedOn[c], spec.ForcedOff[c]} {
-				if nc > 3 || used&(1<<nc) == 0 {
-					return nil, fmt.Errorf("kernel: forced transition of code %d targets unused code %d", c, nc)
-				}
-			}
-			if !spec.UseGate && spec.ForcedOn[c] != spec.ForcedOff[c] {
-				return nil, fmt.Errorf("kernel: forced transition of code %d reads the gate but UseGate is false", c)
+			if nc := spec.Forced[c]; nc > 3 || used&(1<<nc) == 0 {
+				return nil, fmt.Errorf("kernel: forced transition of code %d targets unused code %d", c, nc)
 			}
 		}
 	}
@@ -267,7 +251,7 @@ func Compile(spec Spec) (*Program, error) {
 	} else {
 		p.touched = compileTable(uint32(spec.Touched), 3)
 	}
-	p.fast2 = !p.useHi && !spec.UseB && !spec.UseGate && p.sameTA &&
+	p.fast2 = !p.useHi && !spec.UseB && p.sameTA &&
 		spec.Active == twoStateActive &&
 		spec.CoinHi[0] == 1 && spec.CoinHi[1] == 1 &&
 		spec.CoinLo[0] == 0 && spec.CoinLo[1] == 0
@@ -276,15 +260,11 @@ func Compile(spec Spec) (*Program, error) {
 }
 
 // detectCoinConst recognizes the coin-constant shape (the 3-state rule's):
-// no gate lane, every active code draws toward the same CoinHi/CoinLo target
-// pair, and every possible forced transition lands on one target code. Such
+// every active code draws toward the same CoinHi/CoinLo target pair, and every possible forced transition lands on one target code. Such
 // a program's new-code bits are a pure word function of (touched, active,
 // coin) — evalWordsCoinConst composes them without per-bit table lookups.
 func (p *Program) detectCoinConst(used int) {
 	spec := &p.spec
-	if spec.UseGate {
-		return
-	}
 	ch, cl, f := -1, -1, -1
 	for c := 0; c < 4; c++ {
 		if used&(1<<c) == 0 {
@@ -299,11 +279,10 @@ func (p *Program) detectCoinConst(used int) {
 			}
 		}
 		if spec.canBeForced(c) {
-			// ForcedOn ≡ ForcedOff here (validated above for gateless specs).
 			switch {
 			case f == -1:
-				f = int(spec.ForcedOff[c])
-			case f != int(spec.ForcedOff[c]):
+				f = int(spec.Forced[c])
+			case f != int(spec.Forced[c]):
 				return
 			}
 		}

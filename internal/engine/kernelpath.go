@@ -20,16 +20,12 @@ package engine
 //     the work/active bitsets with popcount deltas, and the new stable-core
 //     entrants fall out of CoreWord &^ inI — refreshing a whole dirty word
 //     is idempotent for its non-dirty vertices, whose derived bits cannot
-//     have changed;
-//   - a rule with a mid-round sub-process (the 3-color switch) participates
-//     by implementing KernelGate: its per-vertex gate bits are re-exported
-//     into the gate lane after every MidRound (and at Rebuild), so
-//     evaluation reads σ_{t-1} exactly as the scalar rule does. The gate
-//     only selects forced-transition outcomes — never membership — so the
-//     frontier logic is untouched.
+//     have changed.
 //
-// Selection: New engages the kernel when the rule implements KernelRule and
-// Options.Scalar is false; a MidRound rule additionally needs KernelGate.
+// Selection: New engages the kernel when the rule implements KernelRule,
+// Options.Scalar is false, and the rule runs no mid-round sub-process (a
+// MidRound rule can steer evaluation outside the counter model, so it runs
+// on the scalar path; the 3-color rule declares no lane program at all).
 // Everything else — daemon scheduling, checkpointing, run contexts, the
 // complete-graph fast path — flows through the same Core APIs unchanged.
 
@@ -54,15 +50,6 @@ type KernelRule interface {
 	LaneProgram() *kernel.Program
 }
 
-// KernelGate is implemented by MidRound rules that participate in the
-// kernel path: ExportGate packs the per-vertex gate bits (the 3-color
-// switch values σ_t) into dst, one bit per vertex, 64 per word, leaving
-// bits beyond the universe zero. The engine calls it after every MidRound
-// and at Rebuild, so evaluation always reads the previous round's values.
-type KernelGate interface {
-	ExportGate(dst []uint64)
-}
-
 // Kernel reports whether the bit-sliced kernel path is engaged.
 func (e *Core) Kernel() bool { return e.kern != nil }
 
@@ -70,23 +57,13 @@ func (e *Core) Kernel() bool { return e.kern != nil }
 // before Rebuild populates the lanes.
 func (e *Core) initKernel(n int) {
 	kr, ok := e.rule.(KernelRule)
-	if !ok || e.opts.Scalar {
+	if _, mid := e.rule.(MidRound); !ok || mid || e.opts.Scalar {
 		return
 	}
-	var gate KernelGate
-	if _, mid := e.rule.(MidRound); mid {
-		// A mid-round sub-process influences evaluation outside the counter
-		// model; without a gate export the scalar path is the only correct
-		// one.
-		if gate, ok = e.rule.(KernelGate); !ok {
-			return
-		}
-	}
 	prog := kr.LaneProgram()
-	if err := e.validateLaneProgram(prog, gate != nil); err != nil {
+	if err := e.validateLaneProgram(prog); err != nil {
 		panic(fmt.Sprintf("engine: rule %T lane program inconsistent with its scalar projections: %v", e.rule, err))
 	}
-	e.kGate = gate
 	if e.ctx != nil {
 		e.kern, e.dirtyW = e.ctx.leaseLanes(prog, n)
 	} else {
@@ -104,11 +81,8 @@ func (e *Core) initKernel(n int) {
 // rule's scalar projections over every used code and counter zero/nonzero
 // combination — the registration-time gate that keeps a mis-declared spec
 // from silently diverging from the golden scalar path.
-func (e *Core) validateLaneProgram(prog *kernel.Program, gated bool) error {
+func (e *Core) validateLaneProgram(prog *kernel.Program) error {
 	spec := prog.Spec()
-	if spec.UseGate != gated {
-		return fmt.Errorf("gate lane %v but mid-round gate export %v", spec.UseGate, gated)
-	}
 	if spec.UseB != e.useB {
 		return fmt.Errorf("spec UseB=%v but rule counter-B usage is %v", spec.UseB, e.useB)
 	}
@@ -142,15 +116,6 @@ func (e *Core) validateLaneProgram(prog *kernel.Program, gated bool) error {
 		}
 	}
 	return nil
-}
-
-// exportGate re-fills the gate lane from the rule's mid-round sub-process;
-// called after every MidRound and during Rebuild so EvalWords always reads
-// the value the scalar Evaluate would (σ of the last completed round).
-func (e *Core) exportGate() {
-	if e.kern != nil && e.kGate != nil {
-		e.kGate.ExportGate(e.kern.GateWords())
-	}
 }
 
 // commitKernel is commit specialized to the kernel path: it mirrors the

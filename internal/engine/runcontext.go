@@ -43,9 +43,10 @@ type RunContext struct {
 	rands []xrand.Rand
 	rngs  []*xrand.Rand
 
-	// clockA/clockB back a rule's phase-clock level arrays (the 3-color
-	// switch), leased through ClockBufs.
-	clockA, clockB []uint8
+	// clockLevels, clockTop, clockCand and clockChanges back a rule's phase
+	// clock (the 3-color switch), leased through ClockBufs.
+	clockLevels                       []uint8
+	clockTop, clockCand, clockChanges []uint64
 
 	// Locality-ordering memo: batch shards run thousands of seeds over one
 	// shared graph, and the degree-bucketed ordering is a pure function of
@@ -130,14 +131,21 @@ func growU8(buf []uint8, n int) []uint8 {
 	return buf
 }
 
-// ClockBufs leases the context's phase-clock level arrays (current and
-// next), zeroed, length n — the 3-color process hands them to its switch
-// via phaseclock.WithBuffers, closing that rule's last per-run O(n)
-// allocation.
-func (c *RunContext) ClockBufs(n int) (levels, next []uint8) {
-	c.clockA = growU8(c.clockA, n)
-	c.clockB = growU8(c.clockB, n)
-	return c.clockA, c.clockB
+// ClockBufs leases the context's phase-clock memory for a clock over n
+// vertices: the level array (length n), the top-vertex and candidate
+// bitsets (⌈n/64⌉ words each), all zeroed, and an empty change list with
+// capacity n, enough for any step. The 3-color process hands them to its
+// switch via phaseclock.WithBuffers, so a context-backed run allocates
+// nothing per run or per round for its clock.
+func (c *RunContext) ClockBufs(n int) (levels []uint8, top, cand, changes []uint64) {
+	words := (n + 63) / 64
+	c.clockLevels = growU8(c.clockLevels, n)
+	c.clockTop = growU64(c.clockTop, words)
+	c.clockCand = growU64(c.clockCand, words)
+	if cap(c.clockChanges) < n {
+		c.clockChanges = make([]uint64, 0, n)
+	}
+	return c.clockLevels, c.clockTop, c.clockCand, c.clockChanges[:0]
 }
 
 // BoolBuf leases the context's per-vertex mask buffer, zeroed, length n

@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"runtime"
 	"testing"
 
 	"ssmis/internal/engine"
@@ -84,5 +85,46 @@ func TestThreeStateStepAllocationFree(t *testing.T) {
 	}
 	if !p.Stabilized() || p.Round() != res.Rounds {
 		t.Fatalf("measured run at round %d (stabilized=%v), warm-up %+v", p.Round(), p.Stabilized(), res)
+	}
+}
+
+// With a warm run context, a round of the 3-color process allocates
+// nothing: the engine's scratch and the event-driven switch's bitsets and
+// change list all lease from the context. The graph is a test-size
+// G(n, avg degree 10), the family of perfbench's gnp30k-3color workload.
+func TestThreeColorStepAllocationFree(t *testing.T) {
+	g := graph.GnpAvgDegree(4096, 10, xrand.New(7))
+	ctx := engine.NewRunContext()
+	mk := func() *ThreeColor { return NewThreeColor(g, WithRunContext(ctx), WithSeed(4)) }
+	// Warm the context on the same execution that is measured, so every
+	// append-grown buffer already has the capacity the measured rounds need.
+	res := Run(mk(), 4*DefaultRoundCap(g.N()))
+	if !res.Stabilized || res.Rounds < 2 {
+		t.Fatalf("warm-up run %+v", res)
+	}
+	// Count every allocation of a whole run rather than AllocsPerRun's
+	// per-round average, which rounds down: one buffer growth in a
+	// thousand rounds must fail too. MemStats counts process-wide, so a
+	// background goroutine of the runtime or the test framework can land
+	// in a window now and then; the run is repeated (the same execution on
+	// the same warm context) and the fewest allocations must be zero. As
+	// in AllocsPerRun, one P keeps other goroutines mostly out.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := ^uint64(0)
+	for attempt := 0; attempt < 3 && fewest != 0; attempt++ {
+		p := mk()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < res.Rounds; i++ {
+			p.Step()
+		}
+		runtime.ReadMemStats(&after)
+		if !p.Stabilized() || p.Round() != res.Rounds {
+			t.Fatalf("measured run at round %d (stabilized=%v), warm-up %+v", p.Round(), p.Stabilized(), res)
+		}
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	if fewest != 0 {
+		t.Fatalf("%d rounds made at least %d allocations on a warm context, want 0", res.Rounds, fewest)
 	}
 }

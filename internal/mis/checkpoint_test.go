@@ -87,44 +87,60 @@ func TestCheckpointRoundTripThreeState(t *testing.T) {
 	}
 }
 
+// A 3-color checkpoint must resume the exact execution, including the
+// switch: early (round 7) and mid-cycle, with switch levels strictly
+// between 0 and top, where the resumed clock's first step must reconstruct
+// the event-driven candidate set the uninterrupted clock carries.
 func TestCheckpointRoundTripThreeColor(t *testing.T) {
 	g := graph.Gnp(60, 0.15, xrand.New(113))
-	full := NewThreeColor(g, WithSeed(11), WithSwitchZetaLog2(5))
-	paused := NewThreeColor(g, WithSeed(11), WithSwitchZetaLog2(5))
-	for i := 0; i < 7; i++ {
-		full.Step()
-		paused.Step()
-	}
-	cp, err := paused.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := cp.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreThreeColor(g, decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		full.Step()
-		restored.Step()
+	for _, pauseAt := range []int{7, 300} {
+		full := NewThreeColor(g, WithSeed(11), WithSwitchZetaLog2(5))
+		paused := NewThreeColor(g, WithSeed(11), WithSwitchZetaLog2(5))
+		for i := 0; i < pauseAt; i++ {
+			full.Step()
+			paused.Step()
+		}
+		midCycle := false
 		for u := 0; u < g.N(); u++ {
-			if full.ColorOf(u) != restored.ColorOf(u) {
-				t.Fatalf("round %d: colors diverged at %d", full.Round(), u)
-			}
-			if full.SwitchLevel(u) != restored.SwitchLevel(u) {
-				t.Fatalf("round %d: levels diverged at %d", full.Round(), u)
+			if l := paused.SwitchLevel(u); l > 0 && l < 5 {
+				midCycle = true
 			}
 		}
-	}
-	if full.RandomBits() != restored.RandomBits() {
-		t.Fatalf("bits differ: %d vs %d", full.RandomBits(), restored.RandomBits())
+		if pauseAt > 7 && !midCycle {
+			t.Fatalf("pause at round %d: no switch level strictly inside (0, top)", pauseAt)
+		}
+		cp, err := paused.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := cp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreThreeColor(g, decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			full.Step()
+			restored.Step()
+			for u := 0; u < g.N(); u++ {
+				if full.ColorOf(u) != restored.ColorOf(u) {
+					t.Fatalf("pause %d round %d: colors diverged at %d", pauseAt, full.Round(), u)
+				}
+				if full.SwitchLevel(u) != restored.SwitchLevel(u) {
+					t.Fatalf("pause %d round %d: levels diverged at %d", pauseAt, full.Round(), u)
+				}
+			}
+			if full.RandomBits() != restored.RandomBits() {
+				t.Fatalf("pause %d round %d: bits differ: %d vs %d",
+					pauseAt, full.Round(), full.RandomBits(), restored.RandomBits())
+			}
+		}
 	}
 }
 

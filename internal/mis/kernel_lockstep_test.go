@@ -11,13 +11,13 @@ import (
 	"ssmis/internal/xrand"
 )
 
-// The kernel-vs-scalar lockstep matrix for the multi-lane rules: the
-// 3-state and 3-color processes auto-select the bit-sliced kernel, and
-// every configuration — frontier/full-rescan ×
-// sparse/dense/complete — must replay the scalar interface path
-// coin-for-coin, round by round: colors, full states (black0 vs black1,
-// switch levels), active counts, bit accounting, and the final coveredAt
-// stamps. The 2-state rows of this matrix live in refresh_test.go.
+// The kernel-vs-scalar lockstep matrix for the multi-lane rule: the 3-state
+// process auto-selects the bit-sliced kernel, and every configuration —
+// frontier/full-rescan × sparse/dense/complete — must replay the scalar
+// interface path coin-for-coin, round by round: full states (black0 vs
+// black1), active counts, bit accounting, and the final coveredAt stamps.
+// The 2-state rows of this matrix live in refresh_test.go; the 3-color
+// process has no kernel (it runs on the scalar path only).
 func TestKernelLockstepMatrix(t *testing.T) {
 	type mk func(g *graph.Graph, opts ...Option) Process
 	procs := []struct {
@@ -31,14 +31,6 @@ func TestKernelLockstepMatrix(t *testing.T) {
 			"3-state",
 			func(g *graph.Graph, opts ...Option) Process { return NewThreeState(g, opts...) },
 			func(p Process, u int) int { return int(p.(*ThreeState).State(u)) },
-		},
-		{
-			"3-color",
-			func(g *graph.Graph, opts ...Option) Process { return NewThreeColor(g, opts...) },
-			func(p Process, u int) int {
-				tc := p.(*ThreeColor)
-				return int(tc.ColorOf(u))<<8 | int(tc.SwitchLevel(u))
-			},
 		},
 	}
 	graphs := []struct {
@@ -177,57 +169,42 @@ func TestKernelDaemonLockstep(t *testing.T) {
 	}
 }
 
-// Mid-run corruption followed by Rebuild must re-derive the lanes (states,
-// both neighbor counters, and the 3-color gate) identically on the kernel
-// and scalar paths.
+// Mid-run corruption followed by Rebuild must re-derive the lanes (states
+// and both neighbor counters) identically on the kernel and scalar paths.
 func TestKernelRebuildLockstep(t *testing.T) {
 	g := graph.Gnp(180, 0.06, xrand.New(4))
 	mut := xrand.New(7)
 
 	kern3s := NewThreeState(g, WithSeed(11))
 	scal3s := NewThreeState(g, WithSeed(11), WithScalarEngine())
-	kern3c := NewThreeColor(g, WithSeed(11))
-	scal3c := NewThreeColor(g, WithSeed(11), WithScalarEngine())
-	if !kernelEngaged(kern3s) || !kernelEngaged(kern3c) {
+	if !kernelEngaged(kern3s) {
 		t.Fatal("kernel did not engage")
 	}
 	for i := 0; i < 6; i++ {
 		kern3s.Step()
 		scal3s.Step()
-		kern3c.Step()
-		scal3c.Step()
 	}
 	for i := 0; i < 12; i++ {
 		u := mut.Intn(g.N())
 		ts := TriState(1 + mut.Intn(3))
 		kern3s.Corrupt(u, ts)
 		scal3s.Corrupt(u, ts)
-		c := Color(1 + mut.Intn(3))
-		lvl := uint8(mut.Intn(6))
-		kern3c.Corrupt(u, c, lvl)
-		scal3c.Corrupt(u, c, lvl)
 	}
 	cap := 4 * DefaultRoundCap(g.N())
 	r1, r2 := Run(kern3s, cap), Run(scal3s, cap)
 	if r1 != r2 {
 		t.Fatalf("3-state post-corruption: kernel %+v vs scalar %+v", r1, r2)
 	}
-	r3, r4 := Run(kern3c, cap), Run(scal3c, cap)
-	if r3 != r4 {
-		t.Fatalf("3-color post-corruption: kernel %+v vs scalar %+v", r3, r4)
-	}
 	for u := 0; u < g.N(); u++ {
 		if kern3s.State(u) != scal3s.State(u) {
 			t.Fatalf("3-state: state of %d diverged after rebuild", u)
-		}
-		if kern3c.ColorOf(u) != scal3c.ColorOf(u) || kern3c.SwitchLevel(u) != scal3c.SwitchLevel(u) {
-			t.Fatalf("3-color: state of %d diverged after rebuild", u)
 		}
 	}
 }
 
 // A run context leased across rule switches (2-state → 3-state → 3-color →
-// back) must reconfigure the lanes without leaking bits between rules: each
+// back) must reconfigure the lanes and the clock buffers without leaking
+// bits between rules: each
 // context-backed run must equal its context-free (and hence its scalar)
 // execution exactly. The sizes shrink and grow so stale words beyond the
 // new tail would be caught.

@@ -198,10 +198,11 @@ func WithFullRescan() Option {
 }
 
 // WithScalarEngine forces the per-vertex interface path instead of the
-// engine's bit-sliced kernel, which all three processes otherwise
-// auto-select. The two paths are coin-for-coin bit-identical — the scalar
-// engine is the golden reference the kernels are differentially pinned
-// against — so this is a diagnostic/benchmark knob, never a semantic one.
+// engine's bit-sliced kernel, which the 2-state and 3-state processes
+// otherwise auto-select (3-color always runs the interface path). The two
+// paths are coin-for-coin bit-identical — the scalar engine is the golden
+// reference the kernels are differentially pinned against — so this is a
+// diagnostic/benchmark knob, never a semantic one.
 func WithScalarEngine() Option {
 	return func(o *options) { o.scalar = true }
 }

@@ -119,6 +119,51 @@ func TestThreeColorMatchesReference(t *testing.T) {
 	}
 }
 
+// Several full switch cycles on a mid-size sparse graph, with a burst of
+// mid-run corruption: the event-driven clock evaluates only top vertices
+// and the neighborhoods of last round's level changes, and Corrupt must
+// invalidate that candidate set. Both vertex orders (the relabeled clock
+// lives in relabeled ids) must replay the oracle color for color and
+// level for level every round.
+func TestThreeColorMatchesReferenceLong(t *testing.T) {
+	g := graph.GnpAvgDegree(2000, 6, xrand.New(74))
+	const rounds, corruptAt = 1600, 700
+	for _, order := range []struct {
+		name string
+		opt  Option
+	}{{"identity", WithIdentityOrder()}, {"degree", WithDegreeOrder()}} {
+		t.Run(order.name, func(t *testing.T) {
+			const seed = 75
+			opt := NewThreeColor(g, WithSeed(seed), order.opt)
+			colors := make([]Color, g.N())
+			levels := make([]uint8, g.N())
+			for u := range colors {
+				colors[u] = opt.ColorOf(u)
+				levels[u] = opt.SwitchLevel(u)
+			}
+			ref := NewRefThreeColor(g, seed, colors, levels)
+			mut := xrand.New(76)
+			for i := 1; i <= rounds; i++ {
+				if i == corruptAt {
+					for k := 0; k < 40; k++ {
+						u, c, l := mut.Intn(g.N()), Color(1+mut.Intn(3)), uint8(mut.Intn(6))
+						opt.Corrupt(u, c, l)
+						ref.color[u], ref.level[u] = c, l
+					}
+				}
+				opt.Step()
+				ref.Step()
+				for u := 0; u < g.N(); u++ {
+					if opt.ColorOf(u) != ref.ColorOf(u) || opt.SwitchLevel(u) != ref.Level(u) {
+						t.Fatalf("round %d: vertex %d is (%v, %d), oracle (%v, %d)", i, u,
+							opt.ColorOf(u), opt.SwitchLevel(u), ref.ColorOf(u), ref.Level(u))
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestThreeColorCliqueFastPathMatchesReference(t *testing.T) {
 	// The phase clock takes a global-max fast path on complete graphs; the
 	// oracle never does. They must still agree.

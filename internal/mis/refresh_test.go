@@ -18,13 +18,14 @@ import (
 // local-times instrument must be byte-identical to the frontier run.
 func TestRefreshDeterminismMatrix(t *testing.T) {
 	type proc struct {
-		name string
-		mk   func(g *graph.Graph, opts ...Option) Process
+		name   string
+		mk     func(g *graph.Graph, opts ...Option) Process
+		kernel bool // auto-selects the bit-sliced kernel
 	}
 	procs := []proc{
-		{"2-state", func(g *graph.Graph, opts ...Option) Process { return NewTwoState(g, opts...) }},
-		{"3-state", func(g *graph.Graph, opts ...Option) Process { return NewThreeState(g, opts...) }},
-		{"3-color", func(g *graph.Graph, opts ...Option) Process { return NewThreeColor(g, opts...) }},
+		{"2-state", func(g *graph.Graph, opts ...Option) Process { return NewTwoState(g, opts...) }, true},
+		{"3-state", func(g *graph.Graph, opts ...Option) Process { return NewThreeState(g, opts...) }, true},
+		{"3-color", func(g *graph.Graph, opts ...Option) Process { return NewThreeColor(g, opts...) }, false},
 	}
 	graphs := []struct {
 		name string
@@ -70,13 +71,13 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 		}
 	}
 
-	// Kernel-vs-scalar and relabel axes. All three processes above execute
-	// on the bit-sliced kernel (auto-selected); here the scalar interface
-	// path in original vertex order is forced as the golden reference and
-	// every kernel configuration — frontier and
-	// full-rescan, with and without the degree-bucketed locality
-	// relabeling — must reproduce it byte for byte: summaries, colors, and
-	// the coveredAt stamps.
+	// Kernel-vs-scalar and relabel axes. The 2-state and 3-state processes
+	// execute on the bit-sliced kernel (auto-selected), 3-color on the
+	// scalar path; here the scalar interface path in original vertex order
+	// is forced as the golden reference and every default-engine
+	// configuration — frontier and full-rescan, with and without the
+	// degree-bucketed locality relabeling — must reproduce it byte for
+	// byte: summaries, colors, and the coveredAt stamps.
 	for _, pr := range procs {
 		for _, gc := range graphs {
 			cap := 4 * DefaultRoundCap(gc.g.N())
@@ -100,8 +101,8 @@ func TestRefreshDeterminismMatrix(t *testing.T) {
 						opts = append(opts, WithIdentityOrder())
 					}
 					p := pr.mk(gc.g, opts...)
-					if !kernelEngaged(p) {
-						t.Fatalf("%s: kernel did not engage", name)
+					if kernelEngaged(p) != pr.kernel {
+						t.Fatalf("%s: kernel engaged = %v, want %v", name, kernelEngaged(p), pr.kernel)
 					}
 					if res := Run(p, cap); res != scalRes {
 						t.Fatalf("%s: summary %+v, scalar %+v", name, res, scalRes)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ssmis/internal/engine"
-	"ssmis/internal/engine/kernel"
 	"ssmis/internal/graph"
 	"ssmis/internal/phaseclock"
 	"ssmis/internal/xrand"
@@ -48,7 +47,10 @@ func (c Color) String() string {
 //
 // Every gray vertex stays on the worklist — whether it drains is decided by
 // the switch value at evaluation time, which changes round to round outside
-// the engine's counter model.
+// the engine's counter model. The rule has no lane program, so 3-color runs
+// on the engine's scalar path: once the switch became event-driven, a
+// bit-sliced kernel with a per-round gate lane measured slower than the
+// scalar loop.
 type threeColorRule struct {
 	clock *phaseclock.Clock
 	rngs  []*xrand.Rand
@@ -109,52 +111,6 @@ func (r *threeColorRule) MidRound() {
 	r.clock.Step(func(u int) *xrand.Rand { return r.rngs[u] })
 }
 
-// threeColorProg is Definition 28 as a compiled lane program: the 2-state
-// tables plus a gray code (10) that is always touched, never active, and
-// whose forced transition is gated — gray→white when the vertex's switch
-// bit is on, gray→gray otherwise. The engine re-exports the gate lane after
-// every MidRound (ExportGate below), so evaluation reads σ_{t-1} exactly as
-// the scalar Evaluate does.
-var threeColorProg = kernel.MustCompile(kernel.Spec{
-	StateOf: [4]uint8{uint8(ColorWhite), uint8(ColorBlack), uint8(ColorGray), 0},
-	UseGate: true,
-	Active: kernel.TruthTable(func(code int, a, _ bool) bool {
-		switch code {
-		case 1: // black
-			return a
-		case 0: // white
-			return !a
-		default: // gray (code 3 unused)
-			return false
-		}
-	}),
-	Touched: kernel.TruthTable(func(code int, a, _ bool) bool {
-		switch code {
-		case 1:
-			return a
-		case 0:
-			return !a
-		case 2: // gray: whether it drains is the switch's call, not the counters'
-			return true
-		default:
-			return false
-		}
-	}),
-	CoinHi:    [4]uint8{1, 1, 0, 0}, // active white/black → black on coin 1
-	CoinLo:    [4]uint8{0, 2, 0, 0}, // white stays white, black retreats to gray
-	ForcedOn:  [4]uint8{0, 0, 0, 0}, // gray with switch on → white
-	ForcedOff: [4]uint8{0, 0, 2, 0}, // gray with switch off stays gray
-})
-
-// LaneProgram marks the rule for the engine's bit-sliced kernel; the
-// mid-round switch participates through ExportGate.
-func (*threeColorRule) LaneProgram() *kernel.Program { return threeColorProg }
-
-// ExportGate packs the per-vertex switch values into the kernel's gate lane
-// (engine.KernelGate), called by the engine after every MidRound and at
-// Rebuild.
-func (r *threeColorRule) ExportGate(dst []uint64) { r.clock.ExportOn(dst) }
-
 // ThreeColor is the paper's 3-color MIS process (Definition 28) with the
 // randomized logarithmic switch sub-process; total state space is 3 × 6 = 18
 // states per vertex. It is a thin rule over the shared frontier engine.
@@ -198,14 +154,14 @@ func NewThreeColor(g *graph.Graph, opts ...Option) *ThreeColor {
 		}
 	}
 	// D=3, on iff level ≤ 2; ζ = 2^-switchZetaLog2 (paper: 2^-7). A run
-	// context leases the clock's level arrays too, so a context-backed
-	// 3-color run makes no per-run O(n) allocation at all. The clock lives
-	// in the engine's (possibly relabeled) vertex space.
+	// context leases the clock's memory too (levels, bitsets, change list),
+	// so a context-backed 3-color run makes no per-run O(n) allocation at
+	// all. The clock lives in the engine's (possibly relabeled) vertex space.
 	var clock *phaseclock.Clock
 	if o.ctx != nil {
-		levels, next := o.ctx.ClockBufs(n)
+		levels, top, cand, changes := o.ctx.ClockBufs(n)
 		clock = phaseclock.New(eg, phaseclock.WithZetaLog2(o.switchZetaLog2),
-			phaseclock.WithBuffers(levels, next))
+			phaseclock.WithBuffers(levels, top, cand, changes))
 	} else {
 		clock = phaseclock.New(eg, phaseclock.WithZetaLog2(o.switchZetaLog2))
 	}

@@ -115,10 +115,9 @@ var threeStateProg = kernel.MustCompile(kernel.Spec{
 	Touched: kernel.TruthTable(func(code int, a, _ bool) bool {
 		return code&1 == 1 || !a
 	}),
-	CoinHi:    [4]uint8{3, 3, 3, 3},
-	CoinLo:    [4]uint8{1, 1, 1, 1},
-	ForcedOn:  [4]uint8{0, 0, 0, 0},
-	ForcedOff: [4]uint8{0, 0, 0, 0},
+	CoinHi: [4]uint8{3, 3, 3, 3},
+	CoinLo: [4]uint8{1, 1, 1, 1},
+	Forced: [4]uint8{0, 0, 0, 0},
 })
 
 // LaneProgram marks the rule for the engine's bit-sliced kernel.

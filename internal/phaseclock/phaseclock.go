@@ -13,10 +13,33 @@
 // σ(u) = on iff level(u) ≤ 2, and parameter ζ = 2^-7 (so a = 4/ζ = 512).
 // Unlike RandPhase, the switch is used as a local, non-synchronized counter:
 // the paper only needs properties (S1)–(S3) of Definition 25.
+//
+// # Event-driven evaluation
+//
+// Step does not sweep every vertex. Invariant: after a step, a vertex that
+// is not at top, and neither it nor any neighbor changed level in that
+// step, keeps its level in the next step. Its level l was set to
+// max over N+ − 1 with the same neighborhood levels it sees now, so the rule
+// gives l again (a level-0 vertex always just changed: level 0 jumps to top
+// on the step after it is reached). Each step therefore evaluates only
+//
+//   - the vertices at top, which draw their ζ-coin in increasing vertex
+//     order, exactly as a full sweep does, and
+//   - the candidate set: the vertices that changed level in the previous
+//     step, plus their neighbors.
+//
+// Both sets are ⌈n/64⌉-word bitsets swept together in ascending order. New
+// levels are computed from the old ones into a change list and applied
+// after the sweep, so the rule stays synchronous; applying a change marks
+// the vertex and its neighbors as the next step's candidates. New,
+// SetLevel, RandomizeLevels and Rebind mark the clock fully dirty, and the
+// next step evaluates every vertex. On a complete graph the neighborhood
+// max is the global max, so every step evaluates every vertex against it.
 package phaseclock
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ssmis/internal/graph"
 	"ssmis/internal/xrand"
@@ -34,12 +57,17 @@ const SwitchA = 512
 // 3-color MIS process interleave its color coins and switch coins
 // deterministically on a single per-vertex stream.
 type Clock struct {
-	g         *graph.Graph
-	d         int // RandPhase parameter D; levels are 0..d+2
-	zetaLog2  uint
-	onMax     uint8 // σ(u) = on iff level(u) <= onMax
-	levels    []uint8
-	next      []uint8
+	g        *graph.Graph
+	d        int // RandPhase parameter D; levels are 0..d+2
+	zetaLog2 uint
+	onMax    uint8 // σ(u) = on iff level(u) <= onMax
+	levels   []uint8
+	top      []uint64 // bit u set iff levels[u] == Top
+	cand     []uint64 // next step's candidates: last step's changes and their neighbors
+	// changes holds one step's pending transitions, u<<8 | new level,
+	// applied after the sweep.
+	changes   []uint64
+	allDirty  bool // the next step evaluates every vertex
 	round     int
 	bits      int64
 	completeG bool // fast path: global max level suffices
@@ -63,15 +91,20 @@ func WithOnThreshold(m uint8) Option {
 	return func(c *Clock) { c.onMax = m }
 }
 
-// WithBuffers builds the clock on caller-owned level arrays instead of
-// fresh allocations — the engine.RunContext lease that closes the last
-// per-run O(n) allocation of the 18-state process. Both slices must have
-// length g.N(); New zeroes them. The caller owns the memory: a clock built
-// on leased buffers must not be used after the context's next lease.
-func WithBuffers(levels, next []uint8) Option {
+// WithBuffers builds the clock on caller-owned memory instead of fresh
+// allocations — the engine.RunContext lease that keeps a context-backed
+// 3-color run free of per-run O(n) allocations. levels must have length
+// g.N(), top and cand ⌈g.N()/64⌉ words; New zeroes them. changes is the
+// change list's backing: its length is ignored and its capacity reused, so
+// a capacity of g.N() (one step never changes more vertices) means the
+// clock never allocates. The caller owns the memory: a clock built on
+// leased buffers must not be used after the context's next lease.
+func WithBuffers(levels []uint8, top, cand, changes []uint64) Option {
 	return func(c *Clock) {
 		c.levels = levels
-		c.next = next
+		c.top = top
+		c.cand = cand
+		c.changes = changes[:0]
 	}
 }
 
@@ -93,19 +126,21 @@ func New(g *graph.Graph, opts ...Option) *Clock {
 		panic(fmt.Sprintf("phaseclock: D must be >= 1, got %d", c.d))
 	}
 	n := g.N()
-	if c.levels == nil && c.next == nil {
+	words := (n + 63) / 64
+	if c.levels == nil {
 		c.levels = make([]uint8, n)
-		c.next = make([]uint8, n)
+		c.top = make([]uint64, words)
+		c.cand = make([]uint64, words)
 	} else {
-		if len(c.levels) != n || len(c.next) != n {
-			panic(fmt.Sprintf("phaseclock: leased buffers of length %d/%d for graph order %d",
-				len(c.levels), len(c.next), n))
+		if len(c.levels) != n || len(c.top) != words || len(c.cand) != words {
+			panic(fmt.Sprintf("phaseclock: leased buffers of length %d/%d/%d for graph order %d",
+				len(c.levels), len(c.top), len(c.cand), n))
 		}
-		for u := 0; u < n; u++ {
-			c.levels[u] = 0
-			c.next[u] = 0
-		}
+		clear(c.levels)
+		clear(c.top)
+		clear(c.cand)
 	}
+	c.allDirty = true
 	c.completeG = n >= 2 && g.M() == n*(n-1)/2
 	return c
 }
@@ -119,6 +154,7 @@ func (c *Clock) Rebind(g *graph.Graph) {
 	c.g = g
 	n := g.N()
 	c.completeG = n >= 2 && g.M() == n*(n-1)/2
+	c.allDirty = true
 }
 
 // Top returns the highest level, D+2.
@@ -148,6 +184,7 @@ func (c *Clock) SetLevel(u int, level uint8) {
 		panic(fmt.Sprintf("phaseclock: level %d > top %d", level, c.Top()))
 	}
 	c.levels[u] = level
+	c.allDirty = true
 }
 
 // RandomizeLevels sets every level to an independent uniform value in
@@ -170,80 +207,29 @@ func (c *Clock) RandomizeLevelsPerm(rng *xrand.Rand, perm []int32) {
 		}
 		c.levels[i] = uint8(rng.Intn(top))
 	}
+	c.allDirty = true
 }
 
 // On reports the switch value of u: on iff level(u) <= onMax.
 func (c *Clock) On(u int) bool { return c.levels[u] <= c.onMax }
 
-// ExportOn packs the switch values into dst, bit u set iff On(u), 64
-// vertices per word in vertex order; bits beyond the universe are left
-// zero. This is the word-granular export the engine's bit-sliced kernel
-// reads as its gate lane — it runs every round of a kernel-path 3-color
-// execution, so the levels are compared eight at a time: a borrow-free
-// SWAR byte-less-than over each uint64 of levels (per byte b ≤ 127 and
-// threshold t ≤ 128, (b|0x80) − t never borrows across bytes and its high
-// bit is clear exactly when b < t), then a multiply-movemask gathers the
-// eight flag bits in vertex order. A clock deep enough to break the ≤ 127
-// domain (D ≥ 126; the paper's switch has D = 3) takes the byte loop.
-// dst must have ⌈n/64⌉ words.
-func (c *Clock) ExportOn(dst []uint64) {
-	n := len(c.levels)
-	if len(dst) != (n+63)/64 {
-		panic(fmt.Sprintf("phaseclock: ExportOn into %d words for %d vertices", len(dst), n))
-	}
-	if c.Top() > 127 || c.onMax >= 127 {
-		c.exportOnBytes(dst, 0)
-		return
-	}
-	const (
-		ones = 0x0101010101010101
-		high = 0x8080808080808080
-		mov  = 0x0102040810204080 // gathers the eight >>7 flag bits, in order
-	)
-	thr := uint64(c.onMax+1) * ones
-	full := n / 64 // words whose 64 levels all exist
-	for wi := 0; wi < full; wi++ {
-		var w uint64
-		for k := 0; k < 8; k++ {
-			b := c.levels[wi*64+k*8:]
-			x := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-			lt := ^((x | high) - thr) & high
-			w |= (lt >> 7 * mov >> 56) << (k * 8)
-		}
-		dst[wi] = w
-	}
-	if full < len(dst) {
-		dst[full] = 0
-		c.exportOnBytes(dst, full)
-	}
-}
-
-// exportOnBytes is the byte-at-a-time ExportOn over words [fromWord, ...) —
-// the SWAR path's tail, and the whole export for out-of-domain clocks.
-func (c *Clock) exportOnBytes(dst []uint64, fromWord int) {
-	n := len(c.levels)
-	for wi := fromWord; wi < len(dst); wi++ {
-		base := wi * 64
-		hi := base + 64
-		if hi > n {
-			hi = n
-		}
-		var w uint64
-		for u := base; u < hi; u++ {
-			if c.levels[u] <= c.onMax {
-				w |= 1 << uint(u-base)
-			}
-		}
-		dst[wi] = w
-	}
-}
-
 // Step advances the clock one synchronous round. rngAt(u) must return the
 // random stream of vertex u; it is consulted only for vertices at the top
 // level, in increasing vertex order.
+//
+// Only the vertices at top and the candidates — the vertices that changed
+// level in the previous step plus their neighbors — are evaluated; every
+// other vertex provably keeps its level (see the package comment). After a
+// New, SetLevel, RandomizeLevels or Rebind, and on a complete graph, every
+// vertex is evaluated. New levels are collected first and applied after
+// the sweep, so every vertex reads the previous round's levels.
 func (c *Clock) Step(rngAt func(u int) *xrand.Rand) {
 	top := c.Top()
+	full := c.allDirty || c.completeG
+	if c.allDirty {
+		c.rebuildTop()
+		c.allDirty = false
+	}
 	var globalMax uint8
 	if c.completeG {
 		for _, l := range c.levels {
@@ -252,41 +238,83 @@ func (c *Clock) Step(rngAt func(u int) *xrand.Rand) {
 			}
 		}
 	}
-	for u := range c.levels {
-		l := c.levels[u]
-		stayTop := false
-		if l == top {
-			// The bit is 0 with probability ζ; on 1 the vertex stays at top.
-			leave := rngAt(u).BernoulliPow2(c.zetaLog2)
-			c.bits += int64(c.zetaLog2)
-			stayTop = !leave
+	n := len(c.levels)
+	c.changes = c.changes[:0]
+	for wi := range c.top {
+		w := c.top[wi] | c.cand[wi]
+		c.cand[wi] = 0
+		if full {
+			w = ^uint64(0)
+			if rem := n - wi*64; rem < 64 {
+				w = 1<<uint(rem) - 1
+			}
 		}
-		switch {
-		case stayTop || l == 0:
-			c.next[u] = top
-		default:
-			m := l
-			if c.completeG {
-				if globalMax > m {
-					m = globalMax
+		for base := wi * 64; w != 0; w &= w - 1 {
+			u := base + bits.TrailingZeros64(w)
+			l := c.levels[u]
+			var nl uint8
+			switch {
+			case l == top:
+				// The bit is 0 with probability ζ; on 1 the vertex stays at
+				// top. A leaving vertex holds the maximal level, so its
+				// neighborhood max is top.
+				c.bits += int64(c.zetaLog2)
+				if !rngAt(u).BernoulliPow2(c.zetaLog2) {
+					continue
 				}
-			} else {
-				for _, v := range c.g.Neighbors(u) {
-					if lv := c.levels[v]; lv > m {
-						m = lv
+				nl = top - 1
+			case l == 0:
+				nl = top
+			default:
+				m := l
+				if c.completeG {
+					m = globalMax
+				} else {
+					for _, v := range c.g.Neighbors(u) {
+						if lv := c.levels[v]; lv > m {
+							m = lv
+						}
 					}
 				}
+				if nl = m - 1; nl == l {
+					continue
+				}
 			}
-			c.next[u] = m - 1
+			c.changes = append(c.changes, uint64(u)<<8|uint64(nl))
 		}
 	}
-	c.levels, c.next = c.next, c.levels
+	for _, ch := range c.changes {
+		u, nl := int(ch>>8), uint8(ch)
+		if c.levels[u] == top {
+			c.top[u>>6] &^= 1 << uint(u&63)
+		} else if nl == top {
+			c.top[u>>6] |= 1 << uint(u&63)
+		}
+		c.levels[u] = nl
+		if !c.completeG {
+			c.cand[u>>6] |= 1 << uint(u&63)
+			for _, v := range c.g.Neighbors(u) {
+				c.cand[v>>6] |= 1 << uint(v&63)
+			}
+		}
+	}
 	c.round++
 }
 
-// StepOwnRandom advances the clock using streams split from the given master
-// generator (stream u = master.Split(u)); convenient for standalone use.
-// The split streams are cached on first use.
+// rebuildTop re-derives the top-vertex bitset from the levels after an
+// external write.
+func (c *Clock) rebuildTop() {
+	top := c.Top()
+	clear(c.top)
+	for u, l := range c.levels {
+		if l == top {
+			c.top[u>>6] |= 1 << uint(u&63)
+		}
+	}
+}
+
+// Standalone is a clock that owns its per-vertex random streams, split
+// from one master seed (stream u = master.Split(u)).
 type Standalone struct {
 	*Clock
 	rngs []*xrand.Rand

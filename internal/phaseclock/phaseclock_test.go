@@ -267,36 +267,3 @@ func TestIsolatedVertexCycles(t *testing.T) {
 		t.Fatalf("isolated vertex did not cycle: top=%v zero=%v", seenTop, seenZero)
 	}
 }
-
-func TestExportOnMatchesOn(t *testing.T) {
-	// The SWAR export against the scalar On predicate: every size shape
-	// (full words, ragged tails, sub-word universes), every threshold of the
-	// paper's switch, and a clock deep enough to force the byte fallback.
-	cases := []struct {
-		n     int
-		d     int
-		onMax uint8
-	}{
-		{1, 3, 2}, {63, 3, 2}, {64, 3, 2}, {65, 3, 2}, {256, 3, 2},
-		{300, 3, 0}, {300, 3, 5}, {192, 10, 4}, {200, 130, 64},
-	}
-	for _, tc := range cases {
-		g := graph.Gnp(tc.n, 0.05, xrand.New(uint64(tc.n)))
-		c := New(g, WithD(tc.d), WithOnThreshold(tc.onMax))
-		c.RandomizeLevels(xrand.New(99))
-		dst := make([]uint64, (tc.n+63)/64)
-		c.ExportOn(dst)
-		for u := 0; u < tc.n; u++ {
-			got := dst[u/64]>>(uint(u)%64)&1 == 1
-			if got != c.On(u) {
-				t.Fatalf("n=%d d=%d onMax=%d: exported bit %d = %v, On = %v (level %d)",
-					tc.n, tc.d, tc.onMax, u, got, c.On(u), c.Level(u))
-			}
-		}
-		if last := tc.n % 64; last != 0 {
-			if dst[len(dst)-1]>>uint(last) != 0 {
-				t.Fatalf("n=%d: phantom bits beyond the universe", tc.n)
-			}
-		}
-	}
-}

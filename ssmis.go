@@ -119,7 +119,8 @@ func WithLocalTimes() Option { return mis.WithLocalTimes() }
 func WithWorkers(k int) Option { return mis.WithWorkers(k) }
 
 // WithScalarEngine opts a process out of the engine's bit-sliced kernel
-// (all three processes auto-select it), forcing the per-vertex interface
+// (the 2-state and 3-state processes auto-select it; 3-color has none),
+// forcing the per-vertex interface
 // path. The two paths are coin-for-coin bit-identical; this is a
 // diagnostic/benchmark knob.
 func WithScalarEngine() Option { return mis.WithScalarEngine() }
