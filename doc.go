@@ -92,15 +92,20 @@
 // fill from the class totals in O(n/64) words. The dirty frontier itself is tracked per lane word, not
 // per vertex — the refresh re-derives whole words anyway, and the
 // word-index set is 64x smaller (2KB at n=10^6), so the commit's random
-// neighbor marking stays cache-resident. The 3-color rule has no kernel:
-// its per-round cost is its phase clock (internal/phaseclock), which is
-// event-driven — a step evaluates only the vertices at the top level and
-// the neighborhoods of the previous step's level changes, a few percent of
-// the graph, instead of every closed neighborhood — and its remaining
-// per-round work is the scalar gray/white evaluation, which a bit-sliced
-// gate lane measured slower than (0.92x on G(10^5, avg degree 10)), so
-// 3-color runs on the scalar path only. Determinism: evaluation walks set
-// bits of each worklist word in ascending vertex order and draws a coin —
+// neighbor marking stays cache-resident. The 3-color rule has no kernel,
+// and both of its layers pay only for events. Its phase clock
+// (internal/phaseclock) evaluates only the vertices at the top level and
+// the previous step's level changes plus the neighbors whose neighborhood
+// max they moved; each vertex keeps its neighborhood's max level and the
+// count of neighbors at it, pushed on every change, so a candidate reads no
+// neighborhood. A gray vertex is on the engine's worklist only while its
+// switch is on: the rule marks every vertex whose level the clock changed
+// dirty (engine.Core.MarkDirty), and the refresh re-reads its switch. What
+// remains per round is the scalar white/black evaluation, which a
+// bit-sliced gate lane measured slower than (0.92x on G(10^5, avg degree
+// 10)), so 3-color runs on the scalar path only. Determinism: evaluation
+// walks set bits of each worklist word in ascending vertex order and draws
+// a coin —
 // one bit at bias 1/2, a 64-bit Bernoulli sample otherwise — from the
 // vertex's own stream only when the vertex is active (forced transitions
 // draw nothing), which is exactly the scalar loop's order and accounting,
@@ -114,7 +119,7 @@
 // misfuzz differential target, and the CI speed gate (BENCH_kernel.json,
 // >= 1.2x for both the 2-state and 3-state pairs at n=10^6) pin the
 // kernels against. The same gate holds the event-driven phase clock at
-// >= 5x over the full-sweep clock rule.
+// >= 10x over the full-sweep clock rule.
 //
 // Layer 1a' — the locality relabeling (graph.DegreeBucketOrder). On
 // heavy-tailed graphs the kernel's hottest remaining loop is the commit

@@ -161,12 +161,12 @@ func (p *counterPlane) configure(g *graph.Graph, req CounterLayout, useB bool) {
 	p.n, p.useB = n, useB
 	words := (n + 63) / 64
 	backWords := words * 8 * int(width) // a lane word is 64 cells of width bytes
-	p.hubA = growI32(p.hubA, hubLen)
-	p.backA = growU64(p.backA, backWords)
+	p.hubA = grow(p.hubA, hubLen)
+	p.backA = grow(p.backA, backWords)
 	p.t8a, p.t16a, p.t32a = tailViews(p.backA, width, n)
 	if useB {
-		p.hubB = growI32(p.hubB, hubLen)
-		p.backB = growU64(p.backB, backWords)
+		p.hubB = grow(p.hubB, hubLen)
+		p.backB = grow(p.backB, backWords)
 		p.t8b, p.t16b, p.t32b = tailViews(p.backB, width, n)
 	} else {
 		p.hubB = p.hubB[:0]

@@ -53,6 +53,9 @@ const (
 // Rule defines a process over the engine. State values are small positive
 // uint8s (0 is reserved as "invalid"); all predicates must be pure functions
 // of their arguments so that membership caches can be refreshed locally.
+// One exception: a MidRound rule may also read its sub-process's state in
+// Touched, provided its MidRound calls Core.MarkDirty on every vertex whose
+// reading of that state changed.
 type Rule interface {
 	// NumStates returns the largest state value in use.
 	NumStates() int
@@ -78,9 +81,11 @@ type Rule interface {
 // the coin-drawing phase and the state commit (the 3-color process advances
 // its logarithmic switch there). It is invoked exactly once per synchronous
 // round, after every touched vertex has drawn its coins against the pre-round
-// state.
+// state. The engine passes itself so the rule can MarkDirty the vertices
+// whose Touched reading the sub-process changed; the refresh after the
+// commit then re-derives their worklist membership.
 type MidRound interface {
-	MidRound()
+	MidRound(e *Core)
 }
 
 // Options configures an engine instance.
@@ -407,13 +412,20 @@ func (e *Core) Step() {
 		e.draw.bits = 0
 	}
 	if mr, ok := e.rule.(MidRound); ok {
-		mr.MidRound()
+		mr.MidRound(e)
 	}
 	e.commit(e.changes)
 	e.round++
 	e.refresh()
 	e.syncScratch()
 }
+
+// MarkDirty adds u to the dirty frontier: the refresh that ends the current
+// round re-derives u's memberships even if neither u nor a neighbor
+// changed state. A MidRound rule calls it for every vertex whose Touched
+// reading its sub-process changed; such a rule always runs on the scalar
+// path, whose refresh reads this per-vertex set.
+func (e *Core) MarkDirty(u int) { e.dirty.Add(u) }
 
 // commit applies a batch of transitions and records the dirty frontier.
 // Off the complete-graph fast path the neighbor scatter dispatches once per

@@ -237,42 +237,6 @@ func (l *Lanes) LoadState(state []uint8) {
 	}
 }
 
-// LoadCounters packs the neighbor lanes from flat counter arrays (bit u
-// set ⟺ counter > 0) for every word; nbrB is ignored unless the program
-// engages the B lane. The engine's counter plane loads its lanes through
-// its own plane-aware settle instead; this is the flat reference.
-func (l *Lanes) LoadCounters(nbrA, nbrB []int32) {
-	if len(nbrA) != l.n {
-		panic("kernel: counter length mismatch")
-	}
-	useB := l.prog.spec.UseB
-	if useB && len(nbrB) != l.n {
-		panic("kernel: counter B length mismatch")
-	}
-	for wi := range l.hbnA {
-		base := wi * wordBits
-		hi := base + wordBits
-		if hi > l.n {
-			hi = l.n
-		}
-		var wa, wb uint64
-		for u := base; u < hi; u++ {
-			if nbrA[u] > 0 {
-				wa |= 1 << uint(u-base)
-			}
-		}
-		l.hbnA[wi] = wa
-		if useB {
-			for u := base; u < hi; u++ {
-				if nbrB[u] > 0 {
-					wb |= 1 << uint(u-base)
-				}
-			}
-			l.hbnB[wi] = wb
-		}
-	}
-}
-
 // FillHBNComplete derives the whole neighbor lanes on a complete graph,
 // where the engine keeps class totals instead of per-vertex counters: with
 // totalA black vertices overall, a black vertex sees totalA−1 black
@@ -359,56 +323,14 @@ func (l *Lanes) BlackWord(wi int) uint64 { return l.lo[wi] }
 // Nothing is committed — the lanes stay frozen at the pre-round state.
 // It returns the extended change list and the number of random bits drawn,
 // matching the scalar engine's accounting exactly: one bit per coin at bias
-// 1/2, one 64-bit Bernoulli sample per coin otherwise.
+// 1/2, one 64-bit Bernoulli sample per coin otherwise. Compile admits only
+// the two shapes with a word-level evaluator, so a program is either the
+// XOR-flip shape or coin-constant.
 func (l *Lanes) EvalWords(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
-	p := l.prog
-	if p.fast2 {
+	if l.prog.fast2 {
 		return l.evalWordsFlip(rngs, bias, dst)
 	}
-	if p.coinConst {
-		return l.evalWordsCoinConst(rngs, bias, dst)
-	}
-	var drawn int64
-	for wi := range l.lo {
-		low, hiw, aw, bw := l.laneWords(wi)
-		m := l.mask(wi)
-		tw := p.touched(low, hiw, aw, bw) & m
-		if tw == 0 {
-			continue
-		}
-		actw := tw
-		if !p.sameTA {
-			actw = p.active(low, hiw, aw, bw) & m
-		}
-		base := wi * wordBits
-		for w := tw; w != 0; w &= w - 1 {
-			tz := uint(bits.TrailingZeros64(w))
-			bit := uint64(1) << tz
-			code := low>>tz&1 | hiw>>tz&1<<1
-			var nc uint8
-			if actw&bit != 0 {
-				var coin bool
-				if bias == 0.5 {
-					drawn++
-					coin = rngs[base+int(tz)].Bit()
-				} else {
-					drawn += 64
-					coin = rngs[base+int(tz)].Bernoulli(bias)
-				}
-				if coin {
-					nc = p.spec.CoinHi[code]
-				} else {
-					nc = p.spec.CoinLo[code]
-				}
-			} else {
-				nc = p.spec.Forced[code]
-			}
-			if nc != uint8(code) {
-				dst = append(dst, Change{U: int32(base + int(tz)), S: p.spec.StateOf[nc]})
-			}
-		}
-	}
-	return dst, drawn
+	return l.evalWordsCoinConst(rngs, bias, dst)
 }
 
 // evalWordsCoinConst is EvalWords specialized to coin-constant programs
@@ -420,7 +342,7 @@ func (l *Lanes) EvalWords(rngs []*xrand.Rand, bias float64, dst []Change) ([]Cha
 // actually change are revisited. Coins are still drawn from each active
 // vertex's own stream in ascending order (draw order across vertices is
 // irrelevant — the streams are independent), and changes are emitted in
-// ascending vertex order exactly as the generic loop does.
+// ascending vertex order, as the scalar loop emits them.
 func (l *Lanes) evalWordsCoinConst(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	p := l.prog
 	cc := &p.cc
@@ -470,7 +392,7 @@ func (l *Lanes) evalWordsCoinConst(rngs []*xrand.Rand, bias float64, dst []Chang
 // (Touched ≡ Active ≡ ¬(lo ⊕ hasANbr), new state = the coin): the new code
 // is the coin itself, so transitions accumulate as an XOR flip word and
 // only the flipped bits are revisited — the hot loop the CI speed gate
-// pins, kept free of the generic path's per-bit map lookups.
+// pins, kept free of per-bit map lookups.
 func (l *Lanes) evalWordsFlip(rngs []*xrand.Rand, bias float64, dst []Change) ([]Change, int64) {
 	white, blk := l.prog.spec.StateOf[0], l.prog.spec.StateOf[1]
 	var drawn int64

@@ -9,7 +9,7 @@ import (
 
 // Local mirrors of the paper rules' lane programs, restated here so the
 // kernel package tests do not depend on internal/mis, plus one three-code
-// shape that only the generic evaluator runs.
+// shape that engages the hi lane without counter B.
 var (
 	// 2-state: white=1, black=2, the canonical XOR-flip shape.
 	twoProg = MustCompile(Spec{
@@ -38,42 +38,21 @@ var (
 		CoinLo:  [4]uint8{1, 1, 1, 1},
 		Forced:  [4]uint8{0, 0, 0, 0},
 	})
-	// A three-code shape: white=1, black=2, gray=3 (code 2); an active black
-	// retreats to gray on coin 0 and a gray vertex always drains to white.
-	// Its coin targets depend on the code, so neither specialized evaluator
-	// applies and EvalWords runs its generic loop.
-	mixProg = MustCompile(Spec{
+	// A three-code shape without counter B: white=1, black=2, gray=3
+	// (code 2); the 2-state coins, and a gray vertex always drains to
+	// white. Coin-constant, with the hi lane engaged and no hasBNbr lane.
+	drainProg = MustCompile(Spec{
 		StateOf: [4]uint8{1, 2, 3, 0},
-		Active: TruthTable(func(code int, a, _ bool) bool {
-			switch code {
-			case 1:
-				return a
-			case 0:
-				return !a
-			default:
-				return false
-			}
-		}),
-		Touched: TruthTable(func(code int, a, _ bool) bool {
-			switch code {
-			case 1:
-				return a
-			case 0:
-				return !a
-			case 2:
-				return true
-			default:
-				return false
-			}
-		}),
-		CoinHi: [4]uint8{1, 1, 0, 0},
-		CoinLo: [4]uint8{0, 2, 0, 0},
-		Forced: [4]uint8{0, 0, 0, 0},
+		Active:  TruthTable(func(code int, a, _ bool) bool { return code < 2 && (code == 1) == a }),
+		Touched: TruthTable(func(code int, a, _ bool) bool { return code == 2 || code < 2 && (code == 1) == a }),
+		CoinHi:  [4]uint8{1, 1, 0, 0},
+		CoinLo:  [4]uint8{0, 0, 0, 0},
+		Forced:  [4]uint8{0, 0, 0, 0},
 	})
 	allProgs = []struct {
 		name string
 		prog *Program
-	}{{"2-state", twoProg}, {"3-state", triProg}, {"mixed", mixProg}}
+	}{{"2-state", twoProg}, {"3-state", triProg}, {"drain", drainProg}}
 )
 
 // usedStates returns the program's rule state values.
@@ -105,8 +84,23 @@ func randomLanes(prog *Program, n int, rng *xrand.Rand) (*Lanes, []uint8, []int3
 	}
 	l := New(prog, n)
 	l.LoadState(state)
-	l.LoadCounters(nbrA, nbrB)
+	loadCounters(l, nbrA, nbrB)
 	return l, state, nbrA, nbrB
+}
+
+// loadCounters packs the neighbor lanes from flat counter arrays (bit u set
+// ⟺ counter > 0); nbrB is ignored unless the program engages the B lane.
+// It is the flat reference for the engine's plane-aware settle.
+func loadCounters(l *Lanes, nbrA, nbrB []int32) {
+	for u := 0; u < l.n; u++ {
+		bit := uint64(1) << uint(u%wordBits)
+		if nbrA[u] > 0 {
+			l.hbnA[u/wordBits] |= bit
+		}
+		if l.prog.UseB() && nbrB[u] > 0 {
+			l.hbnB[u/wordBits] |= bit
+		}
+	}
 }
 
 // The Shannon-compiled word expressions must agree with their truth tables
@@ -264,7 +258,7 @@ func TestIncrementalHBNMatchesBulk(t *testing.T) {
 		}
 	}
 	ref := New(triProg, n)
-	ref.LoadCounters(nbrA, nbrB)
+	loadCounters(ref, nbrA, nbrB)
 	for wi := 0; wi < l.Words(); wi++ {
 		if l.hbnA[wi] != ref.hbnA[wi] {
 			t.Fatalf("word %d: incremental A %#x vs bulk %#x", wi, l.hbnA[wi], ref.hbnA[wi])
@@ -279,7 +273,7 @@ func TestIncrementalHBNMatchesBulk(t *testing.T) {
 // spec: every touched vertex, ascending, draws a coin if active (next code
 // from the coin maps) or takes its forced transition.
 // EvalWords must produce the same changes from the same streams with the
-// same bit accounting — for every rule shape, fast path and generic alike.
+// same bit accounting — for every rule shape, flip and coin-constant alike.
 func scalarEval(l *Lanes, rngs []*xrand.Rand, bias float64) ([]Change, int64) {
 	p := l.prog
 	var changes []Change
@@ -350,16 +344,17 @@ func TestEvalWordsMatchesScalar(t *testing.T) {
 	}
 }
 
-// Only the canonical 2-state shape may take the XOR-flip fast path.
+// Only the canonical 2-state shape may take the XOR-flip fast path; every
+// other program Compile admits is coin-constant.
 func TestFastPathDetection(t *testing.T) {
 	if !twoProg.fast2 {
 		t.Fatal("2-state program did not detect the flip fast path")
 	}
-	if triProg.fast2 || mixProg.fast2 {
+	if triProg.fast2 || drainProg.fast2 {
 		t.Fatal("multi-lane program claimed the flip fast path")
 	}
-	if !triProg.coinConst || mixProg.coinConst {
-		t.Fatal("coin-constant detection wrong: the 3-state shape qualifies, the mixed shape does not")
+	if !triProg.coinConst || !drainProg.coinConst {
+		t.Fatal("coin-constant detection missed a coin-constant program")
 	}
 }
 
@@ -413,11 +408,11 @@ func TestConfigureRuleSwitchClearsLanes(t *testing.T) {
 	checkZero("two→tri")
 
 	dirtyAll()
-	l.Configure(mixProg, 90)
+	l.Configure(drainProg, 90)
 	if len(l.hi) != l.Words() || len(l.hbnB) != 0 {
-		t.Fatal("mixed program lane engagement wrong")
+		t.Fatal("drain program lane engagement wrong")
 	}
-	checkZero("tri→mixed")
+	checkZero("tri→drain")
 
 	if popTotal(l) != 0 {
 		t.Fatal("stale population")
@@ -455,6 +450,19 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 			// to an unused code.
 			s.Touched = TruthTable(func(int, bool, bool) bool { return true })
 			s.Forced = [4]uint8{2, 0, 0, 0}
+		}},
+		{"neither flip nor coin-constant", func(s *Spec) {
+			// white=1, black=2, gray=3 (code 2): an active black retreats to
+			// gray on coin 0 while an active white stays white, so the coin
+			// targets depend on the code, and a gray vertex drains to white.
+			*s = Spec{
+				StateOf: [4]uint8{1, 2, 3, 0},
+				Active:  TruthTable(func(code int, a, _ bool) bool { return code < 2 && (code == 1) == a }),
+				Touched: TruthTable(func(code int, a, _ bool) bool { return code == 2 || code < 2 && (code == 1) == a }),
+				CoinHi:  [4]uint8{1, 1, 0, 0},
+				CoinLo:  [4]uint8{0, 2, 0, 0},
+				Forced:  [4]uint8{0, 0, 0, 0},
+			}
 		}},
 	}
 	for _, tc := range cases {

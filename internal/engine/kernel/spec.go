@@ -186,8 +186,10 @@ func MustCompile(spec Spec) *Program {
 
 // Compile validates the spec's internal consistency and lowers its truth
 // tables to minimized word expressions (recursive Shannon expansion with
-// constant folding and XOR detection). The returned program is shared by
-// every Lanes configured with it.
+// constant folding and XOR detection). It rejects a spec whose transitions
+// fit neither word-level evaluator: the XOR-flip 2-state shape or a
+// coin-constant program (the 3-state shape). The returned program is
+// shared by every Lanes configured with it.
 func Compile(spec Spec) (*Program, error) {
 	p := &Program{spec: spec}
 	for i := range p.codeOf {
@@ -256,6 +258,9 @@ func Compile(spec Spec) (*Program, error) {
 		spec.CoinHi[0] == 1 && spec.CoinHi[1] == 1 &&
 		spec.CoinLo[0] == 0 && spec.CoinLo[1] == 0
 	p.detectCoinConst(used)
+	if !p.fast2 && !p.coinConst {
+		return nil, fmt.Errorf("kernel: spec is neither the XOR-flip shape nor coin-constant, the two shapes EvalWords evaluates")
+	}
 	return p, nil
 }
 

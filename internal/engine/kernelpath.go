@@ -23,9 +23,13 @@ package engine
 //     have changed.
 //
 // Selection: New engages the kernel when the rule implements KernelRule,
-// Options.Scalar is false, and the rule runs no mid-round sub-process (a
-// MidRound rule can steer evaluation outside the counter model, so it runs
-// on the scalar path; the 3-color rule declares no lane program at all).
+// Options.Scalar is false, and the rule runs no mid-round sub-process. A
+// MidRound rule's Touched reads its sub-process, which no lane holds, so it
+// runs on the scalar path and reports the vertices whose reading changed
+// through MarkDirty; the 3-color rule declares no lane program at all.
+// Compile admits two program shapes, and EvalWords has one word-level
+// evaluator for each: the XOR-flip shape (2-state) and coin-constant
+// programs (3-state).
 // Everything else — daemon scheduling, checkpointing, run contexts, the
 // complete-graph fast path — flows through the same Core APIs unchanged.
 

@@ -43,9 +43,11 @@ type RunContext struct {
 	rands []xrand.Rand
 	rngs  []*xrand.Rand
 
-	// clockLevels, clockTop, clockCand and clockChanges back a rule's phase
-	// clock (the 3-color switch), leased through ClockBufs.
-	clockLevels                       []uint8
+	// clockLevels, clockNMax, clockNCnt, clockTop, clockCand and
+	// clockChanges back a rule's phase clock (the 3-color switch), leased
+	// through ClockBufs.
+	clockLevels, clockNMax            []uint8
+	clockNCnt                         []uint32
 	clockTop, clockCand, clockChanges []uint64
 
 	// Locality-ordering memo: batch shards run thousands of seeds over one
@@ -75,90 +77,47 @@ func (c *RunContext) StoreOrdering(g *graph.Graph, ord *graph.Ordering) {
 // are reused afterwards.
 func NewRunContext() *RunContext { return &RunContext{} }
 
-// growI32 reshapes buf to length n, zeroed, reusing capacity when possible.
-func growI32(buf []int32, n int) []int32 {
+// grow reshapes buf to length n, zeroed, reusing capacity when possible.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growU64 mirrors growI32 for uint64 slices (the counter plane's tail
-// backing).
-func growU64(buf []uint64, n int) []uint64 {
-	if cap(buf) < n {
-		return make([]uint64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growInts mirrors growI32 for int slices.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	return buf
 }
 
 // Uint8Buf leases the context's per-vertex state buffer, zeroed, length n.
 // Process constructors use it for the initial state vector they hand to New.
 func (c *RunContext) Uint8Buf(n int) []uint8 {
-	c.state = growU8(c.state, n)
+	c.state = grow(c.state, n)
 	return c.state
 }
 
-// growU8 reshapes buf to length n, zeroed, reusing capacity when possible.
-func growU8(buf []uint8, n int) []uint8 {
-	if cap(buf) < n {
-		return make([]uint8, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
 // ClockBufs leases the context's phase-clock memory for a clock over n
-// vertices: the level array (length n), the top-vertex and candidate
-// bitsets (⌈n/64⌉ words each), all zeroed, and an empty change list with
-// capacity n, enough for any step. The 3-color process hands them to its
-// switch via phaseclock.WithBuffers, so a context-backed run allocates
-// nothing per run or per round for its clock.
-func (c *RunContext) ClockBufs(n int) (levels []uint8, top, cand, changes []uint64) {
+// vertices, in phaseclock.WithBuffers argument order: the level array and
+// the neighborhood summary (nmax, ncnt; length n each), the top-vertex and
+// candidate bitsets (⌈n/64⌉ words each), all zeroed, and an empty change
+// list with capacity n, enough for any step. The 3-color process hands them
+// to its switch, so a context-backed run allocates nothing per run or per
+// round for its clock.
+func (c *RunContext) ClockBufs(n int) (levels, nmax []uint8, ncnt []uint32, top, cand, changes []uint64) {
 	words := (n + 63) / 64
-	c.clockLevels = growU8(c.clockLevels, n)
-	c.clockTop = growU64(c.clockTop, words)
-	c.clockCand = growU64(c.clockCand, words)
+	c.clockLevels = grow(c.clockLevels, n)
+	c.clockNMax = grow(c.clockNMax, n)
+	c.clockNCnt = grow(c.clockNCnt, n)
+	c.clockTop = grow(c.clockTop, words)
+	c.clockCand = grow(c.clockCand, words)
 	if cap(c.clockChanges) < n {
 		c.clockChanges = make([]uint64, 0, n)
 	}
-	return c.clockLevels, c.clockTop, c.clockCand, c.clockChanges[:0]
+	return c.clockLevels, c.clockNMax, c.clockNCnt, c.clockTop, c.clockCand, c.clockChanges[:0]
 }
 
 // BoolBuf leases the context's per-vertex mask buffer, zeroed, length n
 // (initialization adversaries materialize their black mask here).
 func (c *RunContext) BoolBuf(n int) []bool {
-	if cap(c.mask) < n {
-		c.mask = make([]bool, n)
-	} else {
-		c.mask = c.mask[:n]
-		for i := range c.mask {
-			c.mask[i] = false
-		}
-	}
+	c.mask = grow(c.mask, n)
 	return c.mask
 }
 
@@ -202,11 +161,11 @@ func (c *RunContext) lease(e *Core, n, numStates int) {
 	e.active = &c.active
 	e.inI = &c.inI
 	e.dirty = &c.dirty
-	c.coveredAt = growI32(c.coveredAt, n)
+	c.coveredAt = grow(c.coveredAt, n)
 	e.coveredAt = c.coveredAt
-	c.stateCnt = growInts(c.stateCnt, numStates+1)
+	c.stateCnt = grow(c.stateCnt, numStates+1)
 	e.stateCnt = c.stateCnt
-	c.classTab = growU8(c.classTab, numStates+1)
+	c.classTab = grow(c.classTab, numStates+1)
 	e.classTab = c.classTab
 	e.changes = c.changes[:0]
 	e.priv = c.priv[:0]

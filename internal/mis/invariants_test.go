@@ -107,6 +107,53 @@ func TestThreeColorCounterIntegrityUnderRunAndCorruption(t *testing.T) {
 	}
 }
 
+// The 3-color worklist holds a gray vertex only while its switch is on, so
+// it is only right if every switch change reaches the refresh. A switch
+// cycle is ~133 rounds, longer than the short runs above: this runs ~11
+// cycles on G(2000, avg 6) with CheckIntegrity every round, which
+// recomputes Touched = active ∪ (gray ∧ on) for every vertex. Mid-run, a
+// Corrupt writes a gray vertex whose switch is on, then a Rebind and a
+// checkpoint resume follow. Both vertex orders (the relabeled switch lives
+// in relabeled ids) run the whole sequence.
+func TestThreeColorWorklistIntegrityLong(t *testing.T) {
+	g := graph.GnpAvgDegree(2000, 6, xrand.New(66))
+	h := graph.GnpAvgDegree(2000, 6, xrand.New(67))
+	const rounds, corruptAt, rebindAt, resumeAt = 1500, 400, 600, 800
+	for _, order := range []struct {
+		name string
+		opt  Option
+	}{{"identity", WithIdentityOrder()}, {"degree", WithDegreeOrder()}} {
+		t.Run(order.name, func(t *testing.T) {
+			p := NewThreeColor(g, WithSeed(68), order.opt)
+			p.checkCounters(t)
+			for i := 1; i <= rounds; i++ {
+				switch i {
+				case corruptAt:
+					p.Corrupt(17, ColorGray, 2)
+					if !p.SwitchOn(17) {
+						t.Fatal("corrupted vertex's switch is off")
+					}
+				case rebindAt:
+					p.Rebind(h)
+				case resumeAt:
+					cp, err := p.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p, err = RestoreThreeColor(h, cp, order.opt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i == corruptAt || i == rebindAt || i == resumeAt {
+					p.checkCounters(t)
+				}
+				p.Step()
+				p.checkCounters(t)
+			}
+		})
+	}
+}
+
 // Once Stabilized() reports true it must never revert (without corruption):
 // property over random graphs and seeds, for all three processes.
 func TestStabilizationMonotoneProperty(t *testing.T) {

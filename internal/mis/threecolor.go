@@ -45,12 +45,17 @@ func (c Color) String() string {
 // coin second (if at the top level), the order the goroutine runtime
 // replays.
 //
-// Every gray vertex stays on the worklist — whether it drains is decided by
-// the switch value at evaluation time, which changes round to round outside
-// the engine's counter model. The rule has no lane program, so 3-color runs
-// on the engine's scalar path: once the switch became event-driven, a
-// bit-sliced kernel with a per-round gate lane measured slower than the
-// scalar loop.
+// A gray vertex is on the worklist only while its switch reads on: Touched
+// reads the switch, which is outside the engine's counter model, so
+// MidRound marks every vertex whose switch level the step changed dirty,
+// and the refresh after the commit re-derives Touched from the post-step
+// level — exactly the σ_{t-1} that the next round's Evaluate reads. A gray
+// vertex therefore costs nothing in the ~130 rounds of a switch cycle it
+// spends off. Construction, Corrupt, Rebind and checkpoint restore go
+// through the engine's Rebuild, which reads the current levels. The rule
+// has no lane program, so 3-color runs on the engine's scalar path: once
+// the switch became event-driven, a bit-sliced kernel with a per-round gate
+// lane measured slower than the scalar loop.
 type threeColorRule struct {
 	clock *phaseclock.Clock
 	rngs  []*xrand.Rand
@@ -81,8 +86,13 @@ func (*threeColorRule) Active(_ int, s uint8, a, _ int32) bool {
 	}
 }
 
+// Touched is Active plus the switch-gated gray→white: a gray vertex is
+// touched iff its switch is on.
 func (r *threeColorRule) Touched(u int, s uint8, a, b int32) bool {
-	return Color(s) == ColorGray || r.Active(u, s, a, b)
+	if Color(s) == ColorGray {
+		return r.clock.On(u)
+	}
+	return r.Active(u, s, a, b)
 }
 
 func (r *threeColorRule) Evaluate(u int, s uint8, _, _ int32, d *engine.Draw) uint8 {
@@ -106,9 +116,14 @@ func (r *threeColorRule) Evaluate(u int, s uint8, _, _ int32, d *engine.Draw) ui
 }
 
 // MidRound advances the switch one synchronous round on the shared
-// per-vertex streams, after the color coins and before the commit.
-func (r *threeColorRule) MidRound() {
+// per-vertex streams, after the color coins and before the commit, and
+// marks every vertex whose level changed dirty so the refresh re-reads its
+// switch.
+func (r *threeColorRule) MidRound(e *engine.Core) {
 	r.clock.Step(func(u int) *xrand.Rand { return r.rngs[u] })
+	for i := range r.clock.NumChanged() {
+		e.MarkDirty(r.clock.Changed(i))
+	}
 }
 
 // ThreeColor is the paper's 3-color MIS process (Definition 28) with the
@@ -154,14 +169,14 @@ func NewThreeColor(g *graph.Graph, opts ...Option) *ThreeColor {
 		}
 	}
 	// D=3, on iff level ≤ 2; ζ = 2^-switchZetaLog2 (paper: 2^-7). A run
-	// context leases the clock's memory too (levels, bitsets, change list),
-	// so a context-backed 3-color run makes no per-run O(n) allocation at
-	// all. The clock lives in the engine's (possibly relabeled) vertex space.
+	// context leases the clock's memory too (levels, neighborhood summary,
+	// bitsets, change list), so a context-backed 3-color run makes no
+	// per-run O(n) allocation at all. The clock lives in the engine's
+	// (possibly relabeled) vertex space.
 	var clock *phaseclock.Clock
 	if o.ctx != nil {
-		levels, top, cand, changes := o.ctx.ClockBufs(n)
 		clock = phaseclock.New(eg, phaseclock.WithZetaLog2(o.switchZetaLog2),
-			phaseclock.WithBuffers(levels, top, cand, changes))
+			phaseclock.WithBuffers(o.ctx.ClockBufs(n)))
 	} else {
 		clock = phaseclock.New(eg, phaseclock.WithZetaLog2(o.switchZetaLog2))
 	}

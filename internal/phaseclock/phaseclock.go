@@ -17,24 +17,38 @@
 // # Event-driven evaluation
 //
 // Step does not sweep every vertex. Invariant: after a step, a vertex that
-// is not at top, and neither it nor any neighbor changed level in that
-// step, keeps its level in the next step. Its level l was set to
-// max over N+ − 1 with the same neighborhood levels it sees now, so the rule
-// gives l again (a level-0 vertex always just changed: level 0 jumps to top
-// on the step after it is reached). Each step therefore evaluates only
+// is not at top, and neither its level nor its neighborhood max changed in
+// that step, keeps its level in the next step. Its level l was set to
+// max over N+ − 1 with the same closed-neighborhood max it sees now, so the
+// rule gives l again (a level-0 vertex always just changed: level 0 jumps
+// to top on the step after it is reached). Each step therefore evaluates
+// only
 //
 //   - the vertices at top, which draw their ζ-coin in increasing vertex
 //     order, exactly as a full sweep does, and
 //   - the candidate set: the vertices that changed level in the previous
-//     step, plus their neighbors.
+//     step, plus the neighbors whose neighborhood max that step moved.
 //
 // Both sets are ⌈n/64⌉-word bitsets swept together in ascending order. New
 // levels are computed from the old ones into a change list and applied
-// after the sweep, so the rule stays synchronous; applying a change marks
-// the vertex and its neighbors as the next step's candidates. New,
-// SetLevel, RandomizeLevels and Rebind mark the clock fully dirty, and the
-// next step evaluates every vertex. On a complete graph the neighborhood
-// max is the global max, so every step evaluates every vertex against it.
+// after the sweep, so the rule stays synchronous. New, SetLevel,
+// RandomizeLevels and Rebind mark the clock fully dirty, and the next step
+// evaluates every vertex. On a complete graph the neighborhood max is the
+// global max, so every step evaluates every vertex against it.
+//
+// # Neighborhood summary
+//
+// Off the complete graph, a candidate does not read its neighborhood. Each
+// vertex u keeps a summary of its open neighborhood N(u): nmax[u], the
+// highest level in it (0 when N(u) is empty), and ncnt[u], how many
+// neighbors are at that level. Invariant: after every step, each summary
+// equals a recount from the levels. Applying a change l → l' updates every
+// neighbor's summary in O(1): a level above nmax resets the pair to (l', 1),
+// a level equal to it increments the count, and leaving the max decrements
+// it; only when the last neighbor at the max leaves it is that one
+// neighborhood rescanned. A fully dirty step rebuilds every summary in
+// O(n + m). A candidate at level l then moves to max(l, nmax[u]) − 1, and
+// a neighbor becomes a candidate only when its nmax changed.
 package phaseclock
 
 import (
@@ -62,10 +76,15 @@ type Clock struct {
 	zetaLog2 uint
 	onMax    uint8 // σ(u) = on iff level(u) <= onMax
 	levels   []uint8
-	top      []uint64 // bit u set iff levels[u] == Top
-	cand     []uint64 // next step's candidates: last step's changes and their neighbors
-	// changes holds one step's pending transitions, u<<8 | new level,
-	// applied after the sweep.
+	// nmax[u] and ncnt[u] summarize u's open neighborhood: its highest
+	// level and the number of neighbors at it (see the package comment).
+	// Maintained off the complete graph only.
+	nmax []uint8
+	ncnt []uint32
+	top  []uint64 // bit u set iff levels[u] == Top
+	cand []uint64 // next step's candidates: last step's changes and the neighbors whose nmax moved
+	// changes holds one step's transitions, u<<8 | new level, applied
+	// after the sweep and kept until the next step (NumChanged, Changed).
 	changes   []uint64
 	allDirty  bool // the next step evaluates every vertex
 	round     int
@@ -93,15 +112,18 @@ func WithOnThreshold(m uint8) Option {
 
 // WithBuffers builds the clock on caller-owned memory instead of fresh
 // allocations — the engine.RunContext lease that keeps a context-backed
-// 3-color run free of per-run O(n) allocations. levels must have length
-// g.N(), top and cand ⌈g.N()/64⌉ words; New zeroes them. changes is the
-// change list's backing: its length is ignored and its capacity reused, so
-// a capacity of g.N() (one step never changes more vertices) means the
-// clock never allocates. The caller owns the memory: a clock built on
-// leased buffers must not be used after the context's next lease.
-func WithBuffers(levels []uint8, top, cand, changes []uint64) Option {
+// 3-color run free of per-run O(n) allocations. levels, nmax and ncnt must
+// have length g.N(), top and cand ⌈g.N()/64⌉ words; New zeroes levels, top
+// and cand, and the first step rebuilds the summary. changes is the change
+// list's backing: its length is ignored and its capacity reused, so a
+// capacity of g.N() (one step never changes more vertices) means the clock
+// never allocates. The caller owns the memory: a clock built on leased
+// buffers must not be used after the context's next lease.
+func WithBuffers(levels, nmax []uint8, ncnt []uint32, top, cand, changes []uint64) Option {
 	return func(c *Clock) {
 		c.levels = levels
+		c.nmax = nmax
+		c.ncnt = ncnt
 		c.top = top
 		c.cand = cand
 		c.changes = changes[:0]
@@ -129,12 +151,15 @@ func New(g *graph.Graph, opts ...Option) *Clock {
 	words := (n + 63) / 64
 	if c.levels == nil {
 		c.levels = make([]uint8, n)
+		c.nmax = make([]uint8, n)
+		c.ncnt = make([]uint32, n)
 		c.top = make([]uint64, words)
 		c.cand = make([]uint64, words)
 	} else {
-		if len(c.levels) != n || len(c.top) != words || len(c.cand) != words {
-			panic(fmt.Sprintf("phaseclock: leased buffers of length %d/%d/%d for graph order %d",
-				len(c.levels), len(c.top), len(c.cand), n))
+		if len(c.levels) != n || len(c.nmax) != n || len(c.ncnt) != n ||
+			len(c.top) != words || len(c.cand) != words {
+			panic(fmt.Sprintf("phaseclock: leased buffers of length %d/%d/%d/%d/%d for graph order %d",
+				len(c.levels), len(c.nmax), len(c.ncnt), len(c.top), len(c.cand), n))
 		}
 		clear(c.levels)
 		clear(c.top)
@@ -218,16 +243,22 @@ func (c *Clock) On(u int) bool { return c.levels[u] <= c.onMax }
 // level, in increasing vertex order.
 //
 // Only the vertices at top and the candidates — the vertices that changed
-// level in the previous step plus their neighbors — are evaluated; every
-// other vertex provably keeps its level (see the package comment). After a
-// New, SetLevel, RandomizeLevels or Rebind, and on a complete graph, every
-// vertex is evaluated. New levels are collected first and applied after
-// the sweep, so every vertex reads the previous round's levels.
+// level in the previous step plus the neighbors whose neighborhood max it
+// moved — are evaluated; every other vertex provably keeps its level (see
+// the package comment). After a New, SetLevel, RandomizeLevels or Rebind,
+// and on a complete graph, every vertex is evaluated. New levels are
+// collected first and applied after the sweep, so every vertex reads the
+// previous round's levels.
 func (c *Clock) Step(rngAt func(u int) *xrand.Rand) {
 	top := c.Top()
 	full := c.allDirty || c.completeG
 	if c.allDirty {
 		c.rebuildTop()
+		if !c.completeG {
+			for u := range c.levels {
+				c.rescan(u)
+			}
+		}
 		c.allDirty = false
 	}
 	var globalMax uint8
@@ -266,15 +297,9 @@ func (c *Clock) Step(rngAt func(u int) *xrand.Rand) {
 			case l == 0:
 				nl = top
 			default:
-				m := l
-				if c.completeG {
-					m = globalMax
-				} else {
-					for _, v := range c.g.Neighbors(u) {
-						if lv := c.levels[v]; lv > m {
-							m = lv
-						}
-					}
+				m := globalMax
+				if !c.completeG {
+					m = max(l, c.nmax[u])
 				}
 				if nl = m - 1; nl == l {
 					continue
@@ -285,20 +310,62 @@ func (c *Clock) Step(rngAt func(u int) *xrand.Rand) {
 	}
 	for _, ch := range c.changes {
 		u, nl := int(ch>>8), uint8(ch)
-		if c.levels[u] == top {
+		l := c.levels[u]
+		if l == top {
 			c.top[u>>6] &^= 1 << uint(u&63)
 		} else if nl == top {
 			c.top[u>>6] |= 1 << uint(u&63)
 		}
 		c.levels[u] = nl
-		if !c.completeG {
-			c.cand[u>>6] |= 1 << uint(u&63)
-			for _, v := range c.g.Neighbors(u) {
-				c.cand[v>>6] |= 1 << uint(v&63)
+		if c.completeG {
+			continue
+		}
+		c.cand[u>>6] |= 1 << uint(u&63)
+		for _, v := range c.g.Neighbors(u) {
+			m := c.nmax[v]
+			switch {
+			case nl > m:
+				c.nmax[v], c.ncnt[v] = nl, 1
+			case nl == m:
+				c.ncnt[v]++
+				continue
+			case l == m:
+				if c.ncnt[v]--; c.ncnt[v] > 0 {
+					continue
+				}
+				// The last neighbor at the max left it: the new max is
+				// lower, so only a rescan finds it.
+				c.rescan(int(v))
+			default:
+				continue
 			}
+			c.cand[v>>6] |= 1 << uint(v&63)
 		}
 	}
 	c.round++
+}
+
+// NumChanged returns the number of vertices whose level the last Step
+// changed.
+func (c *Clock) NumChanged() int { return len(c.changes) }
+
+// Changed returns the i-th vertex whose level the last Step changed, in
+// increasing vertex order, for i < NumChanged().
+func (c *Clock) Changed(i int) int { return int(c.changes[i] >> 8) }
+
+// rescan recounts u's neighborhood summary from the levels.
+func (c *Clock) rescan(u int) {
+	var m uint8
+	var k uint32
+	for _, v := range c.g.Neighbors(u) {
+		switch l := c.levels[v]; {
+		case l > m:
+			m, k = l, 1
+		case l == m:
+			k++
+		}
+	}
+	c.nmax[u], c.ncnt[u] = m, k
 }
 
 // rebuildTop re-derives the top-vertex bitset from the levels after an

@@ -1,6 +1,7 @@
 package phaseclock
 
 import (
+	"fmt"
 	"testing"
 
 	"ssmis/internal/graph"
@@ -50,6 +51,26 @@ func (r *refClock) step(rngs []*xrand.Rand) {
 	r.levels, r.next = r.next, r.levels
 }
 
+// checkSummary recounts every vertex's neighborhood summary from the levels
+// and reports the first (nmax, ncnt) pair that differs.
+func (c *Clock) checkSummary() error {
+	for u := range c.levels {
+		var m uint8
+		var k uint32
+		for _, v := range c.g.Neighbors(u) {
+			if l := c.levels[v]; l > m {
+				m, k = l, 1
+			} else if l == m {
+				k++
+			}
+		}
+		if c.nmax[u] != m || c.ncnt[u] != k {
+			return fmt.Errorf("summary of %d = (%d, %d), recount (%d, %d)", u, c.nmax[u], c.ncnt[u], m, k)
+		}
+	}
+	return nil
+}
+
 // splitStreams returns n per-vertex streams split from seed.
 func splitStreams(n int, seed uint64) []*xrand.Rand {
 	master := xrand.New(seed)
@@ -78,7 +99,8 @@ func fuzzGraph(family uint8, n int, density uint8, rng *xrand.Rand) *graph.Graph
 // runDifferential drives a Clock and the full-sweep reference in lockstep
 // over the given graph, from random levels, with mid-run SetLevel and
 // Rebind events drawn from seed, and fails on the first round whose levels
-// or bit count differ.
+// or bit count differ, or, off the complete graph, whose neighborhood
+// summary differs from a recount.
 func runDifferential(t *testing.T, g *graph.Graph, d int, zetaLog2 uint, rounds, events int, seed uint64, rebindTo func(rng *xrand.Rand) *graph.Graph) {
 	t.Helper()
 	n := g.N()
@@ -118,6 +140,11 @@ func runDifferential(t *testing.T, g *graph.Graph, d int, zetaLog2 uint, rounds,
 				t.Fatalf("round %d: level(%d) = %d, reference %d", r, u, c.Level(u), ref.levels[u])
 			}
 		}
+		if !c.completeG {
+			if err := c.checkSummary(); err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
 	}
 }
 
@@ -125,7 +152,8 @@ func runDifferential(t *testing.T, g *graph.Graph, d int, zetaLog2 uint, rounds,
 // event-driven clock: Gnp, path, star and complete graphs, D in 1..6, ζ in
 // 2^-1..2^-7, random initial levels, and mid-run SetLevel and Rebind (to a
 // fresh graph of a random family, which may flip the complete-graph path).
-// Levels and random bits must equal the full sweep after every round.
+// Levels and random bits must equal the full sweep after every round, and
+// every neighborhood summary must equal a recount from the levels.
 func FuzzClockMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(120), uint8(2), uint8(6), uint8(4), uint8(3))
 	f.Add(uint64(2), uint8(1), uint16(40), uint8(0), uint8(2), uint8(0), uint8(5))

@@ -43,11 +43,12 @@ import (
 // more, which read as ~1.4x; the min-of-reps methodology removes that
 // flattery and reads ~1.28x for the identical binary. The phase-clock gate
 // sits at about half of what the event-driven clock measures against the
-// full sweep (9.8x on a 2-CPU Xeon).
+// full sweep (18.6-20.2x over three runs on a 2-CPU Xeon since candidates
+// read a per-vertex neighborhood-max summary; 9.8x before it).
 const (
-	minKernelSpeedup       = 1.2 // 2-state, the XOR-flip fast path
-	minKernelSpeedup3State = 1.2 // 3-state, the generic two-lane path
-	minClockSpeedup        = 5.0 // event-driven phase clock vs the full sweep
+	minKernelSpeedup       = 1.2  // 2-state, the XOR-flip fast path
+	minKernelSpeedup3State = 1.2  // 3-state, the coin-constant two-lane path
+	minClockSpeedup        = 10.0 // event-driven phase clock vs the full sweep
 )
 
 // sweepClock is the phase-clock rule as the verbatim full sweep the
@@ -421,7 +422,7 @@ func TestKernelSpeedupGate(t *testing.T) {
 	}
 
 	report := map[string]any{
-		"description": "Bit-sliced kernels vs the scalar interface path (full time-to-stabilization including process construction; both paths replay identical executions), one scalar/kernel row pair per kernel rule. ns_per_run averages over seeds 0-4 the minimum of k interleaved repetitions per (path, seed) — k = 3 (2-state), 2 (3-state) — because shared-runner noise is additive and the min approaches the true time. 2-state and 3-state run the BenchmarkEngineFrontierGnp1M workload G(n=10^6, avg degree 10). Gates: 2-state >= 1.2x, 3-state >= 1.2x. 3-color has no kernel (it runs on the scalar path); its cost is the phase clock, so the phaseclock row pair times the verbatim full-sweep clock rule against the event-driven phaseclock.Standalone on G(n=10^5, avg degree 10) for a fixed 1200 rounds per seed (about one 3-color run at this size), construction excluded, the same levels and coins checked on both paths, min of 3 interleaved repetitions; gated at >= 5x. The locality row pair runs the 2-state kernel on a scrambled Chung-Lu(n=10^6, beta=2.5, avg degree 10) — ids randomly permuted, since the generator emits weight-sorted ids where hubs are already front-packed and the reorder has nothing to win — with and without the degree-bucketed vertex relabeling (identical executions up to isomorphism), each path under a shared run context with a warm-up excluded so the ordering is computed once and memoized (the steady-state regime the auto policy engages it in). Gated at >= 1.0x (must never lose). The counters-split row pair runs the same scrambled Chung-Lu instance under the relabeling with the counter plane forced flat vs auto-resolved (hub/tail split: dense int32 hub rows, byte-wide tail lanes) — identical executions, the ratio isolates counter storage; gated at >= 1.1x. The counters-narrow pair runs the 2-state kernel on the G(n=10^6, avg degree 10) instance, flat vs auto-resolved byte lanes (no hub prefix); gated at >= 1.0x (narrow must never lose). All pairs: min of interleaved repetitions per (path, seed), shared run contexts, warm-up excluded. Regenerate with: BENCH_KERNEL_OUT=$PWD/BENCH_kernel.json go test -run TestKernelSpeedupGate .",
+		"description": "Bit-sliced kernels vs the scalar interface path (full time-to-stabilization including process construction; both paths replay identical executions), one scalar/kernel row pair per kernel rule. ns_per_run averages over seeds 0-4 the minimum of k interleaved repetitions per (path, seed) — k = 3 (2-state), 2 (3-state) — because shared-runner noise is additive and the min approaches the true time. 2-state and 3-state run the BenchmarkEngineFrontierGnp1M workload G(n=10^6, avg degree 10). Gates: 2-state >= 1.2x, 3-state >= 1.2x. 3-color has no kernel (it runs on the scalar path); its cost is the phase clock, so the phaseclock row pair times the verbatim full-sweep clock rule against the event-driven phaseclock.Standalone on G(n=10^5, avg degree 10) for a fixed 1200 rounds per seed (about one 3-color run at this size), construction excluded, the same levels and coins checked on both paths, min of 3 interleaved repetitions; gated at >= 10x. The locality row pair runs the 2-state kernel on a scrambled Chung-Lu(n=10^6, beta=2.5, avg degree 10) — ids randomly permuted, since the generator emits weight-sorted ids where hubs are already front-packed and the reorder has nothing to win — with and without the degree-bucketed vertex relabeling (identical executions up to isomorphism), each path under a shared run context with a warm-up excluded so the ordering is computed once and memoized (the steady-state regime the auto policy engages it in). Gated at >= 1.0x (must never lose). The counters-split row pair runs the same scrambled Chung-Lu instance under the relabeling with the counter plane forced flat vs auto-resolved (hub/tail split: dense int32 hub rows, byte-wide tail lanes) — identical executions, the ratio isolates counter storage; gated at >= 1.1x. The counters-narrow pair runs the 2-state kernel on the G(n=10^6, avg degree 10) instance, flat vs auto-resolved byte lanes (no hub prefix); gated at >= 1.0x (narrow must never lose). All pairs: min of interleaved repetitions per (path, seed), shared run contexts, warm-up excluded. Regenerate with: BENCH_KERNEL_OUT=$PWD/BENCH_kernel.json go test -run TestKernelSpeedupGate .",
 		"environment": map[string]any{
 			"goos":         runtime.GOOS,
 			"goarch":       runtime.GOARCH,
