@@ -292,3 +292,50 @@ func BenchmarkLubyGnp10k(b *testing.B) {
 		}
 	}
 }
+
+// --- graph-layer benchmarks: the set-up cost of the n = 10^6 workloads,
+// which perfbench reports as graph.gen_s and graph.order_s. The drawn
+// graphs are pinned by internal/graph's golden fingerprints, so these rows
+// time the same output across changes. ---
+
+// graphSink keeps the benchmarked graphs live.
+var graphSink *graph.Graph
+
+func BenchmarkGraphChungLu1M(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		graphSink = graph.ChungLu(1000000, 2.5, 10, xrand.New(7))
+	}
+}
+
+func BenchmarkGraphGnp1M(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		graphSink = graph.GnpAvgDegree(1000000, 10, xrand.New(7))
+	}
+}
+
+func BenchmarkDegreeBucketOrderChungLu1M(b *testing.B) {
+	// The locality ordering of the id-scrambled Chung-Lu graph, as the
+	// process computes it on first use (BFS ranks, bucket sort, Relabel).
+	rng := xrand.New(7)
+	g := graph.ChungLu(1000000, 2.5, 10, rng)
+	g = graph.Relabel(g, int32Perm(g.N(), rng))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if graph.DegreeBucketOrder(g) == nil {
+			b.Fatal("identity order on a scrambled graph")
+		}
+	}
+}
+
+// int32Perm returns a uniformly random permutation of [0, n).
+func int32Perm(n int, rng *xrand.Rand) []int32 {
+	p := make([]int32, n)
+	for i := range p {
+		p[i] = int32(i)
+	}
+	rng.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -166,5 +167,35 @@ func TestChungLuMISStabilizes(t *testing.T) {
 	comp, count := g.ConnectedComponents()
 	if len(comp) != g.N() || count < 1 {
 		t.Fatal("components wrong")
+	}
+}
+
+func TestChungLuInfiniteAverageDegree(t *testing.T) {
+	// Infinite weights make every pair probability NaN: no edges, and no
+	// edge list reserved for the n(n-1)/2 pairs.
+	r1, r2 := xrand.New(6), xrand.New(6)
+	g := ChungLu(3000, 2.5, math.Inf(1), r1)
+	if want := refChungLu(3000, 2.5, math.Inf(1), r2); g.M() != 0 || !sameCSR(g, want) || r1.Uint64() != r2.Uint64() {
+		t.Fatalf("ChungLu with infinite average degree: m=%d, want the reference's empty graph", g.M())
+	}
+	if c := expectedEdgesCap(math.Inf(1), 1<<40); c != 0 {
+		t.Fatalf("expectedEdgesCap(+Inf) = %d, want 0", c)
+	}
+}
+
+func TestChungLuExactPathMatches(t *testing.T) {
+	// With the safety band at 1 no fast value is ever clear of it: every
+	// skip takes Geometric's quotient, every sparse proposal rewinds and
+	// takes Bernoulli on the exact quotient, every dense pair the exact
+	// product. The graph and the stream position must not change.
+	for _, c := range []struct {
+		n         int
+		beta, avg float64
+	}{{90, 3.0, 10}, {5000, 2.2, 10}, {10000, 2.5, 10}, {3000, 2.1, 60}} {
+		r1, r2 := xrand.New(9), xrand.New(9)
+		g, h := ChungLu(c.n, c.beta, c.avg, r1), chungLu(c.n, c.beta, c.avg, r2, 1)
+		if !sameCSR(g, h) || r1.Uint64() != r2.Uint64() {
+			t.Fatalf("ChungLu(%d, %v, %v): exact-path graph differs", c.n, c.beta, c.avg)
+		}
 	}
 }

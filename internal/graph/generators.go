@@ -224,16 +224,17 @@ func Gnp(n int, p float64, rng *xrand.Rand) *Graph {
 	case p == 1:
 		return Complete(n)
 	}
+	total := int64(n) * int64(n-1) / 2
 	b := NewBuilder(n)
+	b.reserve(expectedEdgesCap(p*float64(total), total))
 	if p <= 0.25 {
-		// Geometric skipping over the linearized strict upper triangle.
-		// Pair index k corresponds to (u, v) with u < v.
-		total := int64(n) * int64(n-1) / 2
-		k := int64(rng.Geometric(p))
-		for k < total {
-			u, v := pairFromIndex(k, n)
-			b.AddEdge(u, v)
-			k += 1 + int64(rng.Geometric(p))
+		// Geometric skipping over the linearized strict upper triangle,
+		// walked row by row: the pair index advances by 1 + Geometric(p)
+		// per edge, and pairs come out in increasing order.
+		skip := newSkipSampler(p, safetyBand)
+		w := pairWalk{n: n, u: 0, v: 1}
+		for ok := w.advance(skip.next(rng)); ok; ok = w.advance(1 + skip.next(rng)) {
+			b.AddEdge(w.u, w.v)
 		}
 	} else {
 		for u := 0; u < n; u++ {
@@ -247,37 +248,125 @@ func Gnp(n int, p float64, rng *xrand.Rand) *Graph {
 	return b.Build()
 }
 
-// pairFromIndex maps a linear index k in [0, n(n-1)/2) to the k-th pair
-// (u, v), u < v, in row-major order of the strict upper triangle.
-func pairFromIndex(k int64, n int) (int, int) {
-	// Row u starts at offset S(u) = u*n - u*(u+3)/2 ... solve incrementally
-	// via the quadratic formula on the remaining count.
-	// Remaining pairs after row u-1: R(u) = (n-u)(n-u-1)/2. Find largest u
-	// with k < S(u+1).
-	nn := int64(n)
-	// Row u covers linear indices [rowStart(u), rowStart(u+1)) where
-	// rowStart(u) = u(n-1) - u(u-1)/2. Estimate u by solving the quadratic,
-	// then correct by stepping (the estimate is off by at most a few units).
-	rowStart := func(u int64) int64 { return u*(nn-1) - u*(u-1)/2 }
-	disc := float64(2*nn-1)*float64(2*nn-1) - 8*float64(k)
-	if disc < 0 {
-		disc = 0
+// pairWalk is a position (u, v), u < v, in the row-major order of the
+// strict upper triangle on n vertices; row u holds v = u+1, ..., n-1.
+type pairWalk struct{ n, u, v int }
+
+// advance moves the position s pairs forward, carrying into later rows. It
+// reports false once the position passes the last pair (n-2, n-1). A walk
+// makes at most n row carries in total, so skipping costs O(n + #advances).
+func (w *pairWalk) advance(s int) bool {
+	w.v += s
+	for w.v >= w.n {
+		// Row u ends at v = n-1; row u+1 starts at v = u+2.
+		w.u++
+		if w.u >= w.n-1 {
+			return false
+		}
+		w.v += w.u + 1 - w.n
 	}
-	u := int64((float64(2*nn-1) - math.Sqrt(disc)) / 2)
-	if u < 0 {
-		u = 0
+	return true
+}
+
+// expectedEdgesCap is the edge capacity to reserve for a generator whose
+// edge count is a sum of independent indicators with mean mean (at most
+// total pairs): the mean plus four standard deviations, so the edge list is
+// allocated once in all but rare draws, which fall back to append growth.
+// A mean that is not finite comes from degenerate weights (an infinite
+// average degree makes every probability NaN), which draw no edges, so
+// nothing is reserved.
+func expectedEdgesCap(mean float64, total int64) int {
+	if math.IsNaN(mean) || math.IsInf(mean, 0) {
+		return 0
 	}
-	if u > nn-2 {
-		u = nn - 2
+	c := mean + 4*math.Sqrt(mean) + 16
+	if c > float64(total) {
+		return int(total)
 	}
-	for u > 0 && rowStart(u) > k {
-		u--
+	return int(c)
+}
+
+// safetyBand is the relative margin of the generators' fast paths. A fast
+// path computes a value that is within a few roundings (below 1e-15
+// relative) of the value an exact expression would give; the decision it
+// drives is taken from the fast value only when that value is farther than
+// the band from the decision boundary, and from the exact expression
+// otherwise. The decisions, and so the draws and the graph, are then exactly
+// those of the exact expressions; the band only sets how often the exact one
+// is needed (one to four times in all of ChungLu(10^6, 2.5, 10)'s ~2·10^8
+// decisions). A band of 1 sends every decision to the exact expression.
+const safetyBand = 1e-12
+
+// near reports whether a and b (both nonnegative) lie within band of each
+// other relative to the larger: whether comparing them could come out
+// differently for values a few roundings away. It is false if either is NaN.
+func near(a, b, band float64) bool {
+	d, m := a-b, a
+	if b > a {
+		m = b
 	}
-	for rowStart(u+1) <= k {
-		u++
+	return d <= band*m && -d <= band*m
+}
+
+// maxSkip is xrand.Geometric's clamp: a skip at least this large (or a
+// degenerate quotient) means "effectively never".
+const maxSkip = 1 << 62
+
+// skipSampler draws xrand.Geometric(p) for a fixed p, draw for draw: the
+// same single Float64 per sample (none for p = 1) and the same value,
+// including the clamp. Geometric computes floor(log(x) / log(1-p)); the
+// sampler hoists log(1-p) and its reciprocal and computes log(x)·(1/log(1-p))
+// instead, one multiply in place of a log and a division. That product is
+// within 3 roundings (about 3.3e-16 relative) of the quotient, so the two
+// floors agree unless the product lies within the safety band of an integer
+// or near the clamp, where the sampler evaluates Geometric's exact quotient.
+type skipSampler struct {
+	lq, inv float64 // log(1-p) and 1/log(1-p)
+	one     bool    // p == 1: Geometric returns 0 without drawing
+	band    float64
+}
+
+func newSkipSampler(p, band float64) skipSampler {
+	if p <= 0 || p > 1 {
+		panic(fmt.Sprintf("graph: skip probability %v out of (0,1]", p))
 	}
-	v := u + 1 + (k - rowStart(u))
-	return int(u), int(v)
+	lq := math.Log(1 - p)
+	return skipSampler{lq: lq, inv: 1 / lq, one: p == 1, band: band}
+}
+
+// next returns the next sample of Geometric(p) from rng.
+func (s *skipSampler) next(rng *xrand.Rand) int {
+	if s.one {
+		return 0
+	}
+	return s.of(rng.Float64())
+}
+
+// of returns the sample of Geometric(p), p < 1, that the draw r = Float64()
+// gives.
+func (s *skipSampler) of(r float64) int {
+	x := math.Log(1 - r) // log of a uniform in (0, 1]
+	// When 1-p rounds to 1, lq = 0 and inv = +Inf: f is -Inf or NaN, fails
+	// the range test, and exact applies the clamp.
+	f := x * s.inv
+	if f >= 0 && f < maxSkip/2 {
+		i := int(f) // floor: f is nonnegative and in range
+		if frac := f - float64(i); frac > s.band*f && 1-frac > s.band*f {
+			return i
+		}
+	}
+	return s.exact(x)
+}
+
+// exact is Geometric's quotient and clamp for the log x of the uniform.
+//
+//go:noinline
+func (s *skipSampler) exact(x float64) int {
+	f := x / s.lq
+	if !(f >= 0 && f < maxSkip) { // NaN, ±Inf and overflow, as Geometric
+		return maxSkip
+	}
+	return int(f)
 }
 
 // GnpAvgDegree returns G(n, p) with p chosen so that the expected average
@@ -502,6 +591,12 @@ func WattsStrogatz(n, k int, beta float64, rng *xrand.Rand) *Graph {
 // sensor/contact networks, in contrast to the concentrated degrees of
 // G(n,p).
 func ChungLu(n int, beta, avgDeg float64, rng *xrand.Rand) *Graph {
+	return chungLu(n, beta, avgDeg, rng, safetyBand)
+}
+
+// chungLu is ChungLu with the fast paths' safety band as a parameter; a band
+// of 1 sends every decision through the exact expressions.
+func chungLu(n int, beta, avgDeg float64, rng *xrand.Rand, band float64) *Graph {
 	if n == 0 {
 		return Empty(0)
 	}
@@ -528,36 +623,150 @@ func ChungLu(n int, beta, avgDeg float64, rng *xrand.Rand) *Graph {
 	}
 	totalW := avgDeg * float64(n)
 	b := NewBuilder(n)
+	// Σ_{u<v} min(1, w_u·w_v/totalW) < totalW/2 bounds the expected edge
+	// count.
+	b.reserve(expectedEdgesCap(totalW/2, int64(n)*int64(n-1)/2))
+	// The fast paths replace the exact per-pair quotients by one multiply
+	// with a per-row factor. Their error bounds need every operand and
+	// intermediate to be a normal float: with all weights, totalW and the
+	// row's pMax in [2^-250, 2^250], every product and quotient lies in
+	// [2^-1000, 2^1000]. Rows outside that range (never on practical
+	// parameters) run with band 1, i.e. on the exact expressions only.
+	normal := func(x float64) bool { return x >= 0x1p-250 && x <= 0x1p250 }
+	if !normal(w[0]) || !normal(w[n-1]) || !normal(totalW) {
+		band = 1
+	}
 	// High-weight vertices come first; the weight sequence is decreasing, so
 	// for each u the per-pair probability p_uv = w_u·w_v/totalW decreases in
-	// v and geometric skipping with the max probability plus rejection keeps
-	// generation near O(m).
+	// v. A row whose first pair has probability >= 1 enumerates its pairs
+	// (34 such rows at n = 10^6, β = 2.5, avg 10: 3.4·10^7 pair checks).
+	// Every other row proposes pairs by geometric skipping with the row's
+	// maximum probability pMax and accepts each with probability
+	// p_uv/pMax: about 9.8·10^7 proposals for about 5·10^6 edges at the same
+	// parameters, so generation costs O(n + Σ_u pMax_u·(n-u)) draws, well
+	// above O(m) on skewed weights.
 	for u := 0; u < n; u++ {
 		pMax := w[u] * w[u+minInt(1, n-1-u)] / totalW
-		if pMax >= 1 {
-			// Dense row: enumerate directly.
-			for v := u + 1; v < n; v++ {
-				p := w[u] * w[v] / totalW
-				if p >= 1 || rng.Bernoulli(p) {
-					b.AddEdge(u, v)
-				}
+		switch {
+		case pMax >= 1:
+			chungLuDenseRow(b, u, w, totalW, rng, band)
+		case !(pMax <= 0): // also NaN (infinite weights): one skip draw, as Geometric takes
+			rowBand := band
+			if !normal(pMax) {
+				rowBand = 1
 			}
-			continue
-		}
-		if pMax <= 0 {
-			continue
-		}
-		v := u + 1 + rng.Geometric(pMax)
-		for v < n {
-			// Accept with the true probability relative to the proposal.
-			p := w[u] * w[v] / totalW
-			if rng.Bernoulli(p / pMax) {
-				b.AddEdge(u, v)
-			}
-			v += 1 + rng.Geometric(pMax)
+			chungLuSparseRow(b, u, w, totalW, pMax, rng, rowBand)
 		}
 	}
 	return b.Build()
+}
+
+// chungLuDenseRow enumerates row u's pairs. The exact decision per pair is:
+// accept without a draw if p = w[u]*w[v]/totalW >= 1, else Bernoulli(p),
+// one Float64 compared with p. The fast value w[v]*(w[u]/totalW) is within
+// 4 roundings of p and decides whenever it is clear of the safety band.
+func chungLuDenseRow(b *Builder, u int, w []float64, totalW float64, rng *xrand.Rand, band float64) {
+	ku := w[u] / totalW
+	for v := u + 1; v < len(w); v++ {
+		if q := w[v] * ku; q < 1 && !near(q, 1, band) {
+			if r := rng.Float64(); !near(r, q, band) {
+				if r < q {
+					b.AddEdge(u, v)
+				}
+			} else if r < w[u]*w[v]/totalW {
+				b.AddEdge(u, v)
+			}
+			continue
+		}
+		p := w[u] * w[v] / totalW
+		if p >= 1 || rng.Bernoulli(p) {
+			b.AddEdge(u, v)
+		}
+	}
+}
+
+// chungLuSparseRow proposes row u's pairs by geometric skipping with
+// probability pMax and accepts the pair (u, v) with probability
+// q = w[u]*w[v]/totalW/pMax. The exact decision is Bernoulli(q): accept
+// without a draw if q >= 1 (the pair (u, u+1), whose q is exactly 1), else
+// one Float64 compared with q. The fast value w[v]*k, with
+// k = w[u]/totalW/pMax hoisted per row, takes 3 roundings against the exact
+// quotient's 3: the two are at most ~6 roundings (about 7e-16 relative)
+// apart, far inside the safety band.
+//
+// The weight loads w[v] hit a different cache line per proposal. To overlap
+// them, the row is decided in batches: a batch takes a run of uniforms from
+// the stream, reads them alternately as skip and acceptance draws (the
+// stream's order whenever each proposal's q < 1), computes the proposals,
+// and then decides them in order. A proposal whose q is not clearly below 1,
+// and the end of the row, rewind the stream to the draw the plain loop
+// would be at (every skip and acceptance draw is exactly one Uint64); such a
+// proposal is decided by Bernoulli on the exact quotient and the next batch
+// starts after it. The draws, and so the graph, are those of the plain loop.
+func chungLuSparseRow(b *Builder, u int, w []float64, totalW, pMax float64, rng *xrand.Rand, band float64) {
+	const chunk = 16
+	var us [2 * chunk]float64
+	var vs [chunk]int
+	var qs [chunk]float64
+	n := len(w)
+	k := w[u] / totalW / pMax
+	skip := newSkipSampler(pMax, band)
+	// Size batches to the row's expected proposal count, pMax per pair, so
+	// that short rows do not draw far past their end.
+	size := chunk
+	if e := pMax * float64(n-1-u); e < chunk-2 {
+		size = int(e) + 2
+	}
+	v := u // the last proposal; the first is u + 1 + skip
+batches:
+	for {
+		start := *rng
+		for i := range us[:2*size] {
+			us[i] = rng.Float64()
+		}
+		cnt := 0
+		for ; cnt < size; cnt++ {
+			v += 1 + skip.of(us[2*cnt])
+			if v >= n {
+				break
+			}
+			// The load of w[v] overlaps the following skips' logs.
+			vs[cnt], qs[cnt] = v, w[v]*k
+		}
+		done := cnt < size
+		if done {
+			rewind(rng, &start, 2*cnt+1)
+		}
+		for i, x := range vs[:cnt] {
+			q := qs[i]
+			if !(q < 1 && !near(q, 1, band)) {
+				rewind(rng, &start, 2*i+1)
+				if rng.Bernoulli(w[u] * w[x] / totalW / pMax) {
+					b.AddEdge(u, x)
+				}
+				v = x
+				continue batches
+			}
+			if r := us[2*i+1]; !near(r, q, band) {
+				if r < q {
+					b.AddEdge(u, x)
+				}
+			} else if r < w[u]*w[x]/totalW/pMax {
+				b.AddEdge(u, x)
+			}
+		}
+		if done {
+			return
+		}
+	}
+}
+
+// rewind sets rng to start advanced by draws values.
+func rewind(rng, start *xrand.Rand, draws int) {
+	*rng = *start
+	for ; draws > 0; draws-- {
+		rng.Uint64()
+	}
 }
 
 func minInt(a, b int) int {

@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -133,26 +134,38 @@ func (b *Builder) AddEdge(u, v int) {
 	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
 }
 
+// reserve grows the edge list's capacity to at least m edges, for
+// generators that know their edge count up front.
+func (b *Builder) reserve(m int) {
+	if m > len(b.edges) {
+		b.edges = slices.Grow(b.edges, m-len(b.edges))
+	}
+}
+
 // Build produces the immutable CSR graph. The builder remains usable (more
 // edges may be added and Build called again); the retained edge list stays
 // sorted and deduplicated across calls, so a repeat Build only sorts the
 // edges appended since the previous one and merges them in — O(k log k + m)
-// for k new edges instead of re-sorting all m.
+// for k new edges instead of re-sorting all m. Edges added in strictly
+// increasing order (every generator that emits row by row) are not sorted
+// at all.
 func (b *Builder) Build() *Graph {
 	b.normalize()
 
-	deg := make([]int, b.n)
-	for _, e := range b.edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
 	offsets := make([]int, b.n+1)
+	for _, e := range b.edges {
+		offsets[e[0]+1]++
+		offsets[e[1]+1]++
+	}
 	for u := 0; u < b.n; u++ {
-		offsets[u+1] = offsets[u] + deg[u]
+		offsets[u+1] += offsets[u]
 	}
 	adj := make([]int32, offsets[b.n])
-	cursor := make([]int, b.n)
-	copy(cursor, offsets[:b.n])
+	cursor := slices.Clone(offsets[:b.n])
+	// The edge list is sorted and duplicate-free, so every neighbor list
+	// comes out strictly increasing: vertex x first receives the smaller
+	// endpoints u of its edges (u, x) in increasing u, then the larger
+	// endpoints v of its edges (x, v) in increasing v, and u < x < v.
 	for _, e := range b.edges {
 		u, v := e[0], e[1]
 		adj[cursor[u]] = v
@@ -160,74 +173,46 @@ func (b *Builder) Build() *Graph {
 		adj[cursor[v]] = u
 		cursor[v]++
 	}
-	// Neighbor lists are sorted because edges were processed in sorted order
-	// for the smaller endpoint; for the larger endpoint insertion order
-	// follows the smaller endpoints, which are increasing as well. Verify in
-	// debug-ish fashion only for small graphs? Sorting is cheap relative to
-	// generation; make correctness unconditional:
-	for u := 0; u < b.n; u++ {
-		nbrs := adj[offsets[u]:offsets[u+1]]
-		if !int32sSorted(nbrs) {
-			sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-		}
-	}
 	return &Graph{offsets: offsets, adj: adj, maxDeg: maxDegreeOf(offsets)}
 }
 
+// edgeCmp orders edges lexicographically by (smaller, larger) endpoint.
+func edgeCmp(a, c [2]int32) int {
+	if a[0] != c[0] {
+		return int(a[0]) - int(c[0])
+	}
+	return int(a[1]) - int(c[1])
+}
+
 // normalize brings b.edges to sorted, deduplicated form. Edges up to
-// b.sorted are already normalized by the previous Build; only the appended
-// suffix is sorted, then the two sorted runs are merged with duplicates
-// dropped. A Build with nothing appended does no sorting at all.
+// b.sorted are already normalized by the previous Build, and the normalized
+// prefix is first extended over every appended edge that is strictly
+// greater than its predecessor; a builder fed in increasing order is done
+// there. Otherwise the remaining suffix is sorted and merged into the prefix
+// in place, buffering only the prefix, and duplicates are dropped.
 func (b *Builder) normalize() {
-	if len(b.edges) == b.sorted {
-		return
+	k := b.sorted
+	if k == 0 && len(b.edges) > 0 {
+		k = 1
 	}
-	edgeLess := func(a, c [2]int32) bool {
-		if a[0] != c[0] {
-			return a[0] < c[0]
-		}
-		return a[1] < c[1]
+	for k < len(b.edges) && edgeCmp(b.edges[k-1], b.edges[k]) < 0 {
+		k++
 	}
-	tail := b.edges[b.sorted:]
-	sort.Slice(tail, func(i, j int) bool { return edgeLess(tail[i], tail[j]) })
-	if b.sorted == 0 {
-		// First build: just drop adjacent duplicates in place.
-		dedup := b.edges[:0]
-		for i, e := range b.edges {
-			if i == 0 || e != b.edges[i-1] {
-				dedup = append(dedup, e)
+	if k < len(b.edges) {
+		head, tail := slices.Clone(b.edges[:k]), b.edges[k:]
+		slices.SortFunc(tail, edgeCmp)
+		// Output slot i+j never passes the next unread tail slot k+j.
+		for i, j := 0, 0; i+j < len(b.edges); {
+			if j == len(tail) || i < len(head) && edgeCmp(head[i], tail[j]) <= 0 {
+				b.edges[i+j] = head[i]
+				i++
+			} else {
+				b.edges[i+j] = tail[j]
+				j++
 			}
 		}
-		b.edges = dedup
-		b.sorted = len(b.edges)
-		return
+		b.edges = slices.Compact(b.edges)
 	}
-	// Merge the normalized prefix with the sorted tail, dropping duplicates
-	// within the tail and against the prefix.
-	head := b.edges[:b.sorted]
-	merged := make([][2]int32, 0, len(b.edges))
-	i, j := 0, 0
-	for i < len(head) && j < len(tail) {
-		switch {
-		case head[i] == tail[j]:
-			j++
-		case edgeLess(head[i], tail[j]):
-			merged = append(merged, head[i])
-			i++
-		default:
-			if len(merged) == 0 || merged[len(merged)-1] != tail[j] {
-				merged = append(merged, tail[j])
-			}
-			j++
-		}
-	}
-	merged = append(merged, head[i:]...)
-	for ; j < len(tail); j++ {
-		if len(merged) == 0 || merged[len(merged)-1] != tail[j] {
-			merged = append(merged, tail[j])
-		}
-	}
-	b.edges = merged
 	b.sorted = len(b.edges)
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -297,6 +298,110 @@ func TestPairFromIndex(t *testing.T) {
 				}
 				k++
 			}
+		}
+	}
+}
+
+// pairFromIndex maps a linear index k in [0, n(n-1)/2) to the k-th pair
+// (u, v), u < v, in row-major order of the strict upper triangle. Gnp once
+// mapped every skip index through it (a square root per edge); it stays
+// here as the reference for Gnp's incremental pairWalk.
+func pairFromIndex(k int64, n int) (int, int) {
+	// Row u starts at offset S(u) = u*n - u*(u+3)/2 ... solve incrementally
+	// via the quadratic formula on the remaining count.
+	// Remaining pairs after row u-1: R(u) = (n-u)(n-u-1)/2. Find largest u
+	// with k < S(u+1).
+	nn := int64(n)
+	// Row u covers linear indices [rowStart(u), rowStart(u+1)) where
+	// rowStart(u) = u(n-1) - u(u-1)/2. Estimate u by solving the quadratic,
+	// then correct by stepping (the estimate is off by at most a few units).
+	rowStart := func(u int64) int64 { return u*(nn-1) - u*(u-1)/2 }
+	disc := float64(2*nn-1)*float64(2*nn-1) - 8*float64(k)
+	if disc < 0 {
+		disc = 0
+	}
+	u := int64((float64(2*nn-1) - math.Sqrt(disc)) / 2)
+	if u < 0 {
+		u = 0
+	}
+	if u > nn-2 {
+		u = nn - 2
+	}
+	for u > 0 && rowStart(u) > k {
+		u--
+	}
+	for rowStart(u+1) <= k {
+		u++
+	}
+	v := u + 1 + (k - rowStart(u))
+	return int(u), int(v)
+}
+
+func TestPairWalkMatchesPairFromIndex(t *testing.T) {
+	// Unit steps visit every index; random skips (some past the end, some
+	// huge as after Geometric's clamp) check the row carries.
+	rng := xrand.New(21)
+	for _, n := range []int{0, 1, 2, 3, 5, 17, 100, 1000} {
+		total := int64(n) * int64(n-1) / 2
+		for _, maxStep := range []int{1, 3, 40, 5000} {
+			w := pairWalk{n: n, u: 0, v: 1}
+			k := int64(0)
+			step := 0
+			for {
+				ok := w.advance(step)
+				k += int64(step)
+				if ok != (k < total) {
+					t.Fatalf("n=%d: advance to index %d reported %v, total %d", n, k, ok, total)
+				}
+				if !ok {
+					break
+				}
+				if u, v := pairFromIndex(k, n); w.u != u || w.v != v {
+					t.Fatalf("n=%d index %d: walk at (%d,%d), pairFromIndex (%d,%d)", n, k, w.u, w.v, u, v)
+				}
+				step = 1 + rng.Intn(maxStep)
+			}
+		}
+		w := pairWalk{n: n, u: 0, v: 1}
+		if w.advance(maxSkip) {
+			t.Fatalf("n=%d: a clamped skip stayed inside the triangle", n)
+		}
+	}
+}
+
+func TestSkipSamplerMatchesGeometric(t *testing.T) {
+	// Draw for draw against xrand.Geometric, at the default band and at
+	// band 1 (exact quotient every time): p = 1 draws nothing, p near 1
+	// gives mostly zeros, and below ~1.1e-16 1-p rounds to 1 and every
+	// sample is the clamp.
+	for _, p := range []float64{1, 1 - 1e-16, 0.999, 0.75, 0.5, 0.25, 0.1, 1e-3,
+		1e-6, 1e-9, 1e-15, 2e-16, 1e-16, 1e-17, 1e-300, 5e-324} {
+		for _, band := range []float64{safetyBand, 1} {
+			r1, r2 := xrand.New(3), xrand.New(3)
+			s := newSkipSampler(p, band)
+			for i := 0; i < 20000; i++ {
+				if a, b := s.next(r1), r2.Geometric(p); a != b {
+					t.Fatalf("p=%v band=%v draw %d: sampler %d, Geometric %d", p, band, i, a, b)
+				}
+			}
+			if r1.Uint64() != r2.Uint64() {
+				t.Fatalf("p=%v band=%v: streams diverged", p, band)
+			}
+		}
+	}
+}
+
+func TestSkipSamplerNearIntegers(t *testing.T) {
+	// Uniforms 1-2^-j with p = 1/2 put log(x)/log(1-p) at (or a rounding
+	// from) the integer j, inside the band, where the sampler must take the
+	// exact quotient.
+	p := 0.5
+	s := newSkipSampler(p, safetyBand)
+	for j := 0; j <= 53; j++ {
+		r := 1 - math.Ldexp(1, -j)
+		f := math.Log(1-r) / math.Log(1-p)
+		if got := s.of(r); got != int(f) {
+			t.Fatalf("r = 1-2^-%d: sampler %d, Geometric's quotient %v", j, got, f)
 		}
 	}
 }

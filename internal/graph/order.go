@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Ordering is a relabeling view of a graph: a permutation of the vertex set
@@ -88,30 +88,35 @@ func DegreeBucketOrder(g *Graph) *Ordering {
 	if n == 0 {
 		return nil
 	}
-	rank := make([]int32, n) // within-bucket key
+	// Vertices in within-bucket key order: BFS discovery order on sparse
+	// families, original ids on dense ones. The keys are distinct, so a
+	// stable counting sort of this sequence by bucket (highest first) is
+	// the order by (bucket desc, key).
+	var byKey []int32
 	if g.M() <= 32*n {
-		bfsRanks(g, rank)
+		byKey = bfsOrder(g)
 	} else {
-		for u := range rank {
-			rank[u] = int32(u)
+		byKey = make([]int32, n)
+		for u := range byKey {
+			byKey[u] = int32(u)
 		}
+	}
+	var start [bits.UintSize + 1]int // bucket -> first slot
+	for _, u := range byKey {
+		start[degreeBucket(g.Degree(int(u)))]++
+	}
+	pos := 0
+	for bk := len(start) - 1; bk >= 0; bk-- {
+		c := start[bk]
+		start[bk] = pos
+		pos += c
 	}
 	inv := make([]int32, n)
-	for i := range inv {
-		inv[i] = int32(i)
+	for _, u := range byKey {
+		bk := degreeBucket(g.Degree(int(u)))
+		inv[start[bk]] = u
+		start[bk]++
 	}
-	sort.Slice(inv, func(i, j int) bool {
-		a, b := inv[i], inv[j]
-		ba := degreeBucket(g.Degree(int(a)))
-		bb := degreeBucket(g.Degree(int(b)))
-		if ba != bb {
-			return ba > bb // hubs first
-		}
-		if rank[a] != rank[b] {
-			return rank[a] < rank[b]
-		}
-		return a < b
-	})
 	identity := true
 	for i, u := range inv {
 		if int32(i) != u {
@@ -129,37 +134,38 @@ func DegreeBucketOrder(g *Graph) *Ordering {
 	return &Ordering{Perm: perm, Inv: inv, G: Relabel(g, perm)}
 }
 
-// bfsRanks fills rank[u] with u's discovery index in a deterministic
+// bfsOrder returns the vertices in the discovery order of a deterministic
 // breadth-first sweep: sources are taken in decreasing degree (ties by
 // ascending id), neighbors expand in ascending id, and every component is
 // covered by restarting at the next unvisited source.
-func bfsRanks(g *Graph, rank []int32) {
+func bfsOrder(g *Graph) []int32 {
 	n := g.N()
-	seeds := make([]int32, n)
-	for i := range seeds {
-		seeds[i] = int32(i)
+	// Sources by a counting sort on degree, highest first; vertices enter
+	// their degree's slot range in ascending id.
+	maxDeg := g.MaxDegree()
+	start := make([]int, maxDeg+2) // start[maxDeg-d] = first slot of degree d
+	for u := 0; u < n; u++ {
+		start[maxDeg-g.Degree(u)+1]++
 	}
-	sort.Slice(seeds, func(i, j int) bool {
-		di, dj := g.Degree(int(seeds[i])), g.Degree(int(seeds[j]))
-		if di != dj {
-			return di > dj
-		}
-		return seeds[i] < seeds[j]
-	})
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	seeds := make([]int32, n)
+	for u := 0; u < n; u++ {
+		key := maxDeg - g.Degree(u)
+		seeds[start[key]] = int32(u)
+		start[key]++
+	}
 	visited := make([]bool, n)
 	queue := make([]int32, 0, n)
-	next := int32(0)
 	for _, s := range seeds {
 		if visited[s] {
 			continue
 		}
 		visited[s] = true
-		queue = append(queue[:0], s)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			rank[u] = next
-			next++
-			for _, v := range g.Neighbors(int(u)) {
+		queue = append(queue, s)
+		for head := len(queue) - 1; head < len(queue); head++ {
+			for _, v := range g.Neighbors(int(queue[head])) {
 				if !visited[v] {
 					visited[v] = true
 					queue = append(queue, v)
@@ -167,6 +173,7 @@ func bfsRanks(g *Graph, rank []int32) {
 			}
 		}
 	}
+	return queue
 }
 
 // Relabel rebuilds g's CSR under the permutation perm (perm[old] = new):
@@ -201,7 +208,7 @@ func Relabel(g *Graph, perm []int32) *Graph {
 			out[i] = perm[v]
 		}
 		if !int32sSorted(out) {
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+			slices.Sort(out)
 		}
 	}
 	// A relabeling permutes degrees, so the memo carries over unchanged.
